@@ -388,6 +388,29 @@ class AllConcurServer:
         self._dispatch(src, message, effects)
         return effects
 
+    def accepts_broadcast(self, src: int, rnd: int, origin: int) -> bool:
+        """Whether a ``<BCAST>`` for (*rnd*, *origin*) from peer *src* could
+        do anything — a read-only query an embedding may ask *before*
+        decoding the payload.
+
+        ``False`` exactly where :meth:`handle_message` would return no
+        effects and leave the state untouched: a stale round, a sender this
+        server ignores, or a copy of a message it already holds (d−1 of
+        every d arrivals in a d-regular overlay).  Rounds beyond the window
+        (buffered) and rounds this server has not A-broadcast in yet (the
+        arrival triggers its own broadcast) always pass."""
+        if self.failed:
+            return False
+        if rnd > self._window_hi:
+            return True
+        if rnd < self.round or src in self.ignored_predecessors:
+            return False
+        ctx = self._contexts[rnd]
+        if not ctx.has_broadcast:
+            return True
+        return not ctx.known_mask >> origin & 1 \
+            and bool(ctx.member_mask >> origin & 1)
+
     def _dispatch(self, src: int, message: Message, effects: list[Effect]) -> None:
         rnd = message.round
         if rnd > self._window_hi:

@@ -10,13 +10,15 @@ the static generalisation of the PR 6 ``_connect`` hazard (the facade's
 
 Side classification, per function:
 
-* **loop side** — every ``async def``, plus every sync function
-  forward-reachable from one over resolved call edges (a sync helper
-  called by a coroutine runs on the loop);
-* **facade side** — every public (non-underscore) sync method of a
-  class, plus sync functions reachable from those *without* traversing
-  into coroutines (a sync method that merely schedules a coroutine does
-  not run it on this thread).
+* **loop side** — every ``async def`` and every method of an
+  ``asyncio`` protocol class (``data_received`` & co. are called by the
+  event loop, by contract), plus every sync function forward-reachable
+  from one over resolved call edges (a sync helper called by a coroutine
+  runs on the loop);
+* **facade side** — every public (non-underscore) sync method of any
+  other class, plus sync functions reachable from those *without*
+  traversing into coroutines (a sync method that merely schedules a
+  coroutine does not run it on this thread).
 
 A finding requires a loop-side write and a facade-side write of the same
 ``self.<attr>`` in **distinct** functions (a single public sync method
@@ -31,8 +33,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from .callgraph import Program, attr_writes
+from .callgraph import ClassInfo, Program, attr_writes
 from .findings import Finding
+from .names import dotted_name
 from .registry import ProgramContext, program_rule
 from .rules_lock_order import function_lock_facts
 
@@ -43,8 +46,24 @@ _EXEMPT_METHODS = frozenset({"__init__", "__new__", "__post_init__",
                              "__init_subclass__"})
 
 
+#: transport-callback base classes: the event loop is the only caller
+_LOOP_CALLED_BASES = frozenset({
+    "asyncio.BaseProtocol", "asyncio.Protocol", "asyncio.BufferedProtocol",
+    "asyncio.DatagramProtocol", "asyncio.SubprocessProtocol"})
+
+
+def _is_loop_called(program: Program, cls: ClassInfo) -> bool:
+    imports = program.modules[cls.module].imports
+    return any(name is not None
+               and imports.resolve(name) in _LOOP_CALLED_BASES
+               for name in map(dotted_name, cls.node.bases))
+
+
 def _loop_side(program: Program) -> set[str]:
     frontier = [q for q, fn in program.functions.items() if fn.is_async]
+    for cls in program.classes.values():
+        if _is_loop_called(program, cls):
+            frontier.extend(cls.methods.values())
     reached = set(frontier)
     while frontier:
         qname = frontier.pop()
@@ -58,6 +77,8 @@ def _loop_side(program: Program) -> set[str]:
 def _facade_side(program: Program) -> set[str]:
     frontier: list[str] = []
     for cls in program.classes.values():
+        if _is_loop_called(program, cls):
+            continue
         for name, qname in cls.methods.items():
             fn = program.functions.get(qname)
             if fn is None or fn.is_async:
@@ -84,8 +105,8 @@ def _facade_side(program: Program) -> set[str]:
             "the blocking facade thread (public sync entry point) with "
             "no common lock — a cross-thread data race (the PR 6 "
             "mark_down/_connect shape)",
-    example="def mark_down(self, p): self._writers.pop(p)   "
-            "# async _sender_loop also mutates self._writers")
+    example="def mark_down(self, p): self._transports.pop(p)   "
+            "# async _dial also writes self._transports")
 def check_cross_thread_races(pctx: ProgramContext) -> Iterable[Finding]:
     program = pctx.program
     loop_side = _loop_side(program)

@@ -1,18 +1,20 @@
 """W601: wire-schema parity across planes + committed-lockfile drift gate.
 
 The runtime speaks two wire planes that must carry identical per-kind
-schemas: the binary marshal envelopes of ``repro.runtime.wire``
-(``_K_*`` flat tuples) and the JSON envelopes of ``repro.runtime.
-framing`` (the differential oracle).  A field added to one plane but
-not the other mis-decodes in mixed-codec clusters; a field added to
-*both* without bumping ``WIRE_VERSION`` mis-decodes in mixed-**version**
+schemas: the binary frames of ``repro.runtime.wire`` (a ``_K_*`` kind
+byte, an optional fixed ``struct`` header, a flat marshal envelope) and
+the JSON envelopes of ``repro.runtime.framing`` (the differential
+oracle).  A field added to one plane but not the other mis-decodes in
+mixed-codec clusters; a field added to *both* without bumping ``WIRE_VERSION`` mis-decodes in mixed-**version**
 clusters mid-reshard — exactly the deployment the elastic-sharding
 roadmap item creates.  W601 extracts both schemas statically from the
 AST and checks, in order:
 
-1. **binary parity** — the ``_frame((_K_X, ...))`` encode tuple of each
-   kind against its tuple-unpack in the decoder (positional, with
-   ``rnd``→``round`` style spelling normalisation);
+1. **binary parity** — the fields each ``_frame(_K_X, (...), header)``
+   call encodes (the ``struct`` header's ``pack(...)`` arguments, then
+   the envelope tuple) against the tuple-unpacks of the decoder's
+   ``_K_X`` branch (the header's ``unpack_from``, then the envelope) —
+   positional, with ``rnd``→``round`` style spelling normalisation;
 2. **JSON parity** — the per-``isinstance`` dict keys of
    ``encode_message`` against the constructor kwargs + preamble reads of
    ``decode_message`` (plus the request-row helpers);
@@ -84,12 +86,22 @@ def _find_binary_module(
     return None
 
 
+def _field_name(node: ast.AST, idx: int) -> str:
+    if isinstance(node, ast.Name):
+        return _norm(node.id)
+    if isinstance(node, ast.Attribute):
+        return _norm(node.attr)
+    return f"?{idx}"
+
+
 def _binary_encode_fields(program: Program,
                           module: str) -> tuple[dict[str, list[str]],
                                                 Optional[list[str]]]:
-    """Per-kind field lists from every ``_frame((_K_X, ...))`` call, and
-    the request-row sub-schema from the tuple-of-attributes comprehension
-    in the same function (``(r.origin, r.seq, ...) for r in ...``)."""
+    """Per-kind field lists from every ``_frame(_K_X, (...)[, header])``
+    call — the arguments of the header's ``<struct>.pack(...)`` first,
+    then the envelope tuple — and the request-row sub-schema from the
+    tuple-of-attributes comprehension in the same function
+    (``(r.origin, r.seq, ...) for r in ...``)."""
     kinds: dict[str, list[str]] = {}
     row: Optional[list[str]] = None
     for fn in _module_functions(program, module):
@@ -100,22 +112,21 @@ def _binary_encode_fields(program: Program,
             name = dotted_name(node.func)
             if name is None or name.rsplit(".", 1)[-1] != "_frame":
                 continue
-            if not node.args or not isinstance(node.args[0], ast.Tuple):
-                continue
-            elts = node.args[0].elts
-            if not elts or not isinstance(elts[0], ast.Name) \
-                    or not elts[0].id.startswith("_K_"):
+            args = node.args + [kw.value for kw in node.keywords]
+            if len(args) < 2 or not isinstance(args[0], ast.Name) \
+                    or not args[0].id.startswith("_K_") \
+                    or not isinstance(args[1], ast.Tuple):
                 continue
             has_frame = True
-            fields: list[str] = []
-            for idx, elt in enumerate(elts[1:], start=1):
-                if isinstance(elt, ast.Name):
-                    fields.append(_norm(elt.id))
-                elif isinstance(elt, ast.Attribute):
-                    fields.append(_norm(elt.attr))
-                else:
-                    fields.append(f"?{idx}")
-            kinds[elts[0].id[3:]] = fields
+            elts: list[ast.expr] = []
+            for header in args[2:]:
+                if isinstance(header, ast.Call) \
+                        and isinstance(header.func, ast.Attribute) \
+                        and header.func.attr == "pack":
+                    elts.extend(header.args)
+            elts.extend(args[1].elts)
+            kinds[args[0].id[3:]] = [_field_name(elt, idx) for idx, elt
+                                     in enumerate(elts, start=1)]
         if not has_frame:
             continue
         for node in _body_walk(fn.node):
@@ -133,10 +144,10 @@ def _binary_decode_fields(program: Program, module: str,
                           ) -> tuple[dict[str, list[str]],
                                      dict[str, str],
                                      Optional[list[str]]]:
-    """Per-kind decode fields (tuple unpack of the envelope parameter,
-    or ``env[i]`` positional reads), the kind -> constructed message
-    class map, and the request-row kwargs of the
-    ``__dict__.update(origin=..., seq=...)`` fast path."""
+    """Per-kind decode fields (every tuple-unpack of a ``_K_X`` branch in
+    source order: the header's ``unpack_from``, then the envelope), the
+    kind -> constructed message class map, and the request-row kwargs of
+    the ``__dict__.update(origin=..., seq=...)`` fast path."""
     kinds: dict[str, list[str]] = {}
     classes: dict[str, str] = {}
     row: Optional[list[str]] = None
@@ -147,33 +158,17 @@ def _binary_decode_fields(program: Program, module: str,
                  and len(node.test.comparators) == 1
                  and isinstance(node.test.comparators[0], ast.Name)
                  and node.test.comparators[0].id.startswith("_K_")]
-        if not tests:
-            continue
-        args = fn.node.args
-        env_name = (args.posonlyargs + args.args)[0].arg \
-            if (args.posonlyargs + args.args) else None
         for branch in tests:
             kind = branch.test.comparators[0].id[3:]  # type: ignore[attr-defined]
-            fields: Optional[list[str]] = None
-            indices: set[int] = set()
+            unpacks: list[ast.Assign] = []
             for node in (n for stmt in branch.body
                          for n in ast.walk(stmt)):
                 if isinstance(node, ast.Assign) \
                         and len(node.targets) == 1 \
                         and isinstance(node.targets[0], ast.Tuple) \
-                        and isinstance(node.value, ast.Name) \
-                        and node.value.id == env_name \
                         and all(isinstance(e, ast.Name)
                                 for e in node.targets[0].elts):
-                    names = [e.id for e in node.targets[0].elts]  # type: ignore[union-attr]
-                    fields = [_norm(n) for n in names[1:]]
-                elif isinstance(node, ast.Subscript) \
-                        and isinstance(node.value, ast.Name) \
-                        and node.value.id == env_name \
-                        and isinstance(node.slice, ast.Constant) \
-                        and isinstance(node.slice.value, int) \
-                        and node.slice.value > 0:
-                    indices.add(node.slice.value)
+                    unpacks.append(node)
                 elif isinstance(node, ast.Return) \
                         and isinstance(node.value, ast.Tuple) \
                         and len(node.value.elts) == 2 \
@@ -190,10 +185,11 @@ def _binary_decode_fields(program: Program, module: str,
                               if kw.arg is not None]
                     if "seq" in kwargs:
                         row = [_norm(k) for k in kwargs]
-            if fields is None and indices:
-                fields = [f"?{i}" for i in sorted(indices)]
-            if fields is not None:
-                kinds[kind] = fields
+            if unpacks:
+                unpacks.sort(key=lambda assign: assign.lineno)
+                kinds[kind] = [
+                    _norm(e.id) for assign in unpacks
+                    for e in assign.targets[0].elts]  # type: ignore[attr-defined]
     return kinds, classes, row
 
 
@@ -470,8 +466,8 @@ def _flatten(fields: Iterable[str]) -> set[str]:
             "kind's fields, or the schema changed without a "
             "WIRE_VERSION bump against wire_schema.lock.json (mixed-"
             "version clusters mid-reshard would mis-decode)",
-    example="_frame((_K_FWD, sender, fwd.round))   "
-            "# decoder unpacks _k, sender, rnd, origin")
+    example="_frame(_K_FWD, (sender, fwd.round))   "
+            "# decoder unpacks sender, rnd, origin")
 def check_wire_schema(pctx: ProgramContext) -> Iterable[Finding]:
     program = pctx.program
     found = _find_binary_module(program)

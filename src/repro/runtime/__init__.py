@@ -16,7 +16,7 @@ from .framing import (
     encode_frame,
     encode_message,
 )
-from .node import DeliveredRound, NodeAddress, RuntimeNode
+from .node import DeliveredRound, NodeAddress, RoundTimeout, RuntimeNode
 from .proc import ProcessCluster
 from .wire import BinaryCodec, JsonCodec, WireCodec, get_codec
 
@@ -26,6 +26,7 @@ __all__ = [
     "RuntimeNode",
     "NodeAddress",
     "DeliveredRound",
+    "RoundTimeout",
     "FrameDecoder",
     "encode_frame",
     "encode_message",

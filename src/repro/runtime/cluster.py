@@ -6,8 +6,18 @@ allocated by the kernel: every node binds to port 0 and publishes the
 assigned port before any node dials out, so concurrent clusters (e.g.
 parallel CI shards) can never race each other for a port range.
 
-It is the entry point the runtime tests use; applications are better served
-by the transport-agnostic facade in :mod:`repro.api`
+The cluster owns what spans nodes and nothing else: the address map, the
+per-origin request sequencer, deterministic fail-stop injection
+(:meth:`LocalCluster.fail`) and round driving.  :meth:`LocalCluster.run_rounds`
+gives every live node ONE absolute delivered-round target and parks on their
+completion futures; window filling, re-issue after an epoch barrier and
+wake-up live in the nodes (:meth:`~repro.runtime.node.RuntimeNode.drive_to`),
+exactly as in :class:`~repro.runtime.proc.ProcessCluster`, whose children
+cannot be driven from outside.  A round that does not complete raises
+:class:`~repro.runtime.node.RoundTimeout`.
+
+It is the entry point the runtime tests and ``bench_e2e`` use; applications
+are better served by the transport-agnostic facade in :mod:`repro.api`
 (:class:`~repro.api.TcpDeployment` wraps this class):
 
 >>> import asyncio
@@ -155,8 +165,8 @@ class LocalCluster:
     # Failure operations
     # ------------------------------------------------------------------ #
     async def fail(self, server_id: int) -> None:
-        """Fail-stop *server_id*: stop its node and feed the suspicion into
-        every monitor deterministically.
+        """Fail-stop *server_id*: stop its node (releasing anyone parked on
+        it) and feed the suspicion into every monitor deterministically.
 
         With the heartbeat detector enabled the notifications would also
         arrive on their own after ``heartbeat_timeout``; injecting them here
@@ -168,10 +178,9 @@ class LocalCluster:
         self._failed.add(server_id)
         await self.nodes[server_id].stop()
         for node in self._live_nodes():
-            # senders to the dead server must stop dialling it immediately
-            # (a retry loop against a dead listener would stall their whole
-            # send pipeline), and its monitors feed the suspicion into the
-            # protocol
+            # frames queued for the dead server are dropped instead of
+            # dialling its closed listener, and its monitors feed the
+            # suspicion into the protocol
             node.mark_down(server_id)
             if server_id in set(self.graph.predecessors(node.id)):
                 await node.notify_failure(server_id)
@@ -181,56 +190,26 @@ class LocalCluster:
         """Run *rounds* full rounds and return, per round, the delivery
         record of every live node (they all agree; tests assert it).
 
-        Rounds are driven per window slot: up to ``pipeline_depth`` rounds
-        are A-broadcast before waiting for the oldest one to deliver, so a
-        deeper pipeline keeps later rounds in flight while earlier ones
-        complete.  A membership-change barrier (epoch end) can temporarily
-        cap the window, making ``start_round`` a no-op; the window is
-        re-filled after every awaited round so capped slots are re-issued
-        as soon as the barrier drains — without that refill a slot capped
-        during the initial fill was never re-issued and the final rounds of
-        a run could hang until the timeout.
+        Every live node is driven to ONE absolute delivered-round target
+        (:meth:`RuntimeNode.drive_to` — the scheme of
+        :class:`~repro.runtime.proc.ProcessCluster`): each node issues its
+        own window slots, up to ``pipeline_depth`` ahead of its deliveries,
+        and re-issues on delivery whatever an epoch barrier had capped.
+        This coroutine only parks on each node's completion future in turn
+        (*timeout* seconds per round); a node failed meanwhile releases its
+        waiter and drops out of the result.
         """
-        results: list[dict[int, DeliveredRound]] = []
-        depth = self.config.pipeline_depth
         live = self._live_nodes()
-        if not live:
-            return results
-        base = min(node.delivered_rounds for node in live)
-        issued_base = min(node.broadcast_rounds for node in live)
-
-        async def refill(target_rounds: int) -> None:
-            # Issue window slots until `target_rounds` rounds (beyond
-            # issued_base) are A-broadcast everywhere, or the window is
-            # capped (epoch barrier) and no slot makes progress.
-            while True:
-                nodes = self._live_nodes()
-                if not nodes:
-                    return
-                issued = min(node.broadcast_rounds
-                             for node in nodes) - issued_base
-                if issued >= target_rounds:
-                    return
-                await asyncio.gather(*(node.start_round()
-                                       for node in nodes))
-                still = min(node.broadcast_rounds
-                            for node in nodes) - issued_base
-                if still == issued:
-                    return   # window capped; retried after the next wait
-
-        for idx in range(rounds):
-            await refill(min(rounds, idx + depth))
-            per_node: dict[int, DeliveredRound] = {}
-            for pid in self.alive_members:
-                per_node[pid] = await self.nodes[pid].wait_for_round(
-                    base + idx, timeout=timeout)
-                # The awaited delivery may have drained an epoch barrier
-                # and reopened the window: re-fill so capped slots
-                # (including the round the next iteration waits on) are
-                # actually issued.
-                await refill(min(rounds, idx + depth))
-            results.append(per_node)
-        return results
+        if not live or rounds <= 0:
+            return []
+        until = min(node.delivered_rounds for node in live) + rounds
+        for node in live:
+            await node.drive_to(until)
+        for node in live:
+            await node.wait_delivered(until, timeout=timeout * rounds)
+        return [{pid: self.nodes[pid].delivered[idx]
+                 for pid in self.alive_members}
+                for idx in range(until - rounds, until)]
 
     def agreement_holds(self) -> bool:
         """Every live node delivered identical message sequences for the

@@ -1,35 +1,51 @@
 """asyncio/TCP deployment of the AllConcur protocol core.
 
 Each :class:`RuntimeNode` runs one :class:`~repro.core.server.AllConcurServer`
-and talks to its overlay neighbours over TCP: it listens on its own port,
-dials every successor, and translates protocol effects into frames through a
-pluggable wire codec (:mod:`repro.runtime.wire` — binary by default, JSON as
-the differential oracle).  A lightweight heartbeat task implements the
-failure detector of §3.2 (period ``Δhb``, timeout ``Δto``): every node
-heartbeats its successors and suspects a predecessor after ``Δto`` of
-silence.
+and talks to its overlay neighbours over TCP through a pluggable wire codec
+(:mod:`repro.runtime.wire` — binary by default, JSON as the differential
+oracle).  The round path is synchronous from socket to socket, so a round
+costs the protocol's work and little else:
 
-The runtime exists to demonstrate that the same sans-IO core that the
-simulator exercises deploys unchanged over real sockets; it is not a
-performance vehicle (see DESIGN.md).
+* **receive** — one :class:`asyncio.Protocol` per accepted connection:
+  ``data_received → decoder.feed → server.handle_message → effects`` in one
+  call.  Nothing on the path awaits, so nothing can interleave with it.
+* **duplicate drop** — the decoder asks
+  :meth:`~repro.core.server.AllConcurServer.accepts_broadcast` on the fixed
+  ``<BCAST>`` header and skips the d−1 redundant copies of every message
+  (and stale or ignored ones) without unmarshalling their payload.
+* **send** — a ``Send`` effect appends its frame to a per-peer pending list
+  and one ``loop.call_soon`` flush per loop tick writes each peer's list
+  with one ``transport.write``.  Heartbeats ride the same path.  Frames to
+  a peer known to be down are dropped (fail-stop); frames to a peer not
+  connected yet keep their order behind one bounded-backoff dial task.
+* **completion** — an A-delivery re-issues the node's own next broadcast
+  while it is driven to a target (:meth:`RuntimeNode.drive_to`) and
+  resolves the futures of parked waiters.  No wait polls; one that expires
+  raises :class:`RoundTimeout`, which says what the round was waiting for.
+
+A heartbeat task implements the failure detector of §3.2 (period ``Δhb``,
+timeout ``Δto``): every node heartbeats its successors and suspects a
+predecessor after ``Δto`` of silence.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..core.batching import Batch, Request
 from ..core.config import AllConcurConfig
 from ..core.interfaces import Deliver, Effect, RoundAdvance, Send
-from ..core.messages import Backward, Message
 from ..core.server import AllConcurServer
 from .framing import canonical_payload
 from .wire import DecodedFrame, WireCodec, get_codec
 
-__all__ = ["RuntimeNode", "NodeAddress", "DeliveredRound"]
+__all__ = ["RuntimeNode", "NodeAddress", "DeliveredRound", "RoundTimeout"]
+
+#: dial attempts per connection, ``0.05 s × attempt`` apart (~41 s in all)
+_DIAL_ATTEMPTS = 40
 
 
 @dataclass(frozen=True)
@@ -38,10 +54,8 @@ class NodeAddress:
 
     ``port == 0`` requests an ephemeral port: the node binds to port 0 in
     :meth:`RuntimeNode.start_listening` and publishes the kernel-assigned
-    port back into the shared address map before anyone dials it.  This
-    replaces the old probe-then-bind port scan, which was TOCTOU-racy (a
-    port verified free could be taken before the listener bound it — a
-    recurring flaky-CI source).
+    port back into the shared address map before anyone dials it (binding
+    is atomic; probing for a free port first is not).
     """
 
     server_id: int
@@ -57,6 +71,74 @@ class DeliveredRound:
     messages: tuple[tuple[int, Batch], ...]
     removed: tuple[int, ...]
     wall_time: float
+
+
+class RoundTimeout(TimeoutError):
+    """A server did not A-deliver a round in time; says what the round was
+    waiting for at that server.
+
+    ``missing`` — origins whose message is not in the round's known set
+    (``None`` where that set is not visible: the round is outside the
+    window, or the error was raised on the parent side of a
+    ProcessCluster); ``suspected`` — the servers it suspects; ``unsent`` —
+    bytes per peer queued but not yet written to the socket.  ``vars()`` of
+    the exception are JSON-able constructor arguments.
+    """
+
+    def __init__(self, node_id: int, round: int, *,
+                 missing: Optional[Sequence[int]] = None,
+                 suspected: Sequence[int] = (),
+                 unsent: Optional[Mapping[int, int]] = None,
+                 waited: float = 0.0) -> None:
+        self.node_id = node_id
+        self.round = round
+        self.missing = None if missing is None else tuple(missing)
+        self.suspected = tuple(suspected)
+        # int(): JSON object keys come back as strings
+        self.unsent = {int(peer): n for peer, n in (unsent or {}).items()}
+        self.waited = waited
+        if self.missing is None:
+            waiting = "round state not visible here"
+        elif self.missing:
+            waiting = "waiting on origin " + ", ".join(map(str, self.missing))
+        else:
+            waiting = "every message known, tracking incomplete"
+        queued = ", ".join(f"peer {peer} unsent {nbytes} B"
+                           for peer, nbytes in sorted(self.unsent.items()))
+        super().__init__(
+            f"p{node_id} round {round}: {waiting}, suspected "
+            f"{{{', '.join(map(str, self.suspected))}}}, "
+            f"{queued or 'nothing unsent'} (after {waited:g}s)")
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: bytes → decoder → protocol core, inline."""
+
+    def __init__(self, node: "RuntimeNode") -> None:
+        self._node = node
+        self._decoder = node.codec.decoder(accept=node._accept_broadcast)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        self._node._inbound.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        node = self._node
+        if node.stopped:            # inert: its connections are closing
+            return
+        try:
+            items = self._decoder.feed(data)
+        except ValueError:
+            # Malformed bytes cost their sender this one connection and
+            # nothing else (the decoder is desynchronised for good).
+            node.malformed_frames += 1
+            self._transport.close()
+            return
+        for item in items:
+            node._handle_frame(item)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._node._inbound.discard(self._transport)
 
 
 class RuntimeNode:
@@ -83,54 +165,40 @@ class RuntimeNode:
 
         self.delivered: list[DeliveredRound] = []
         self.deliver_callbacks: list[Callable[[DeliveredRound], None]] = []
+        #: inbound connections closed because their bytes did not decode
+        self.malformed_frames = 0
 
         self._tcp_server: Optional[asyncio.AbstractServer] = None
-        #: live inbound connection handlers (cancelled on stop so no
-        #: coroutine outlives the event loop)
-        self._conn_tasks: set[asyncio.Task[None]] = set()
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        #: per-peer outbound frame queues, drained by one sender task
-        #: each.  Effects are applied *synchronously* under the protocol
-        #: lock and only enqueue frames; all socket awaits (dial retry,
-        #: drain) happen in the sender tasks, outside the lock — the
-        #: PR 6 stall class is structurally impossible, and per-peer
-        #: FIFO order is preserved by the single queue per peer.
-        self._outboxes: dict[int, asyncio.Queue[bytes]] = {}
-        self._senders: dict[int, asyncio.Task[None]] = {}
+        self._inbound: set[asyncio.BaseTransport] = set()
+        #: outbound connection per successor (BWD traffic also dials
+        #: predecessors); a closing one is replaced by the next flush
+        self._transports: dict[int, asyncio.WriteTransport] = {}
+        #: per-peer frames queued since the last flush, in effect order
+        self._pending: dict[int, list[bytes]] = {}
+        self._flush_scheduled = False
+        #: at most one dial task per peer
+        self._dialing: dict[int, asyncio.Task[None]] = {}
         self._last_heard: dict[int, float] = {}
         self._suspected: set[int] = set()
-        #: peers known to be down: sends are dropped instead of retrying
-        #: the dial (a dead listener would otherwise stall the whole
-        #: effect-execution pipeline for the full reconnect backoff)
+        #: peers known to be down: their frames are dropped, not dialled
         self._down: set[int] = set()
         self._tasks: list[asyncio.Task[None]] = []
-        self._lock = asyncio.Lock()
-        self._stopped = asyncio.Event()
+        #: total delivered rounds this node is driving itself towards
+        self._drive_target = 0
+        #: ``(delivered-round count, future)`` of parked waiters
+        self._waiters: list[tuple[int, asyncio.Future[None]]] = []
+        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    async def start(self) -> None:
-        """Start listening and connect to all successors.
-
-        Single-node convenience; a cluster brings all listeners up first
-        (:meth:`start_listening` on every node, which publishes the actual
-        ports) and only then dials (:meth:`connect_peers`), so no dial can
-        race a not-yet-bound listener.
-        """
-        await self.start_listening()
-        await self.connect_peers()
-
     async def start_listening(self) -> None:
-        """Bind the listener and publish the actual port.
-
-        With ``port == 0`` the kernel assigns a free ephemeral port
-        atomically at bind time (no probe/bind race); the assigned port is
-        written back into the shared address map so peers dial the right
-        endpoint."""
+        """Bind the listener and publish the actual port (a cluster brings
+        every listener up before anyone dials — :meth:`connect_peers` — so
+        no dial can race an unbound listener)."""
         addr = self.addresses[self.id]
-        self._tcp_server = await asyncio.start_server(
-            self._handle_connection, addr.host, addr.port)
+        self._tcp_server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), addr.host, addr.port)
         if addr.port == 0:
             port = self._tcp_server.sockets[0].getsockname()[1]
             self.addresses[self.id] = NodeAddress(self.id, addr.host, port)
@@ -138,45 +206,36 @@ class RuntimeNode:
     async def connect_peers(self) -> None:
         """Dial every successor (their listeners must be up) and start the
         failure-detector tasks."""
-        for succ in self.server.graph.successors(self.id):
-            if succ in self.addresses:
-                await self._connect(succ)
+        peers = [succ for succ in self.server.graph.successors(self.id)
+                 if succ in self.addresses]
+        for peer in peers:
+            self._ensure_dial(peer)
+        await asyncio.gather(*(self._dialing[peer] for peer in peers
+                               if peer in self._dialing))
+        unreachable = [peer for peer in peers if peer not in self._down
+                       and peer not in self._transports]
+        if unreachable and not self._stopped:
+            raise ConnectionError(
+                f"server {self.id} cannot reach {unreachable}")
         if self.enable_failure_detector:
             self._tasks.append(asyncio.create_task(self._heartbeat_loop()))
             self._tasks.append(asyncio.create_task(self._timeout_loop()))
 
     async def stop(self) -> None:
-        """Close every connection and stop background tasks."""
-        self._stopped.set()
-        senders = list(self._senders.values())
-        self._senders.clear()
-        self._outboxes.clear()
-        for task in self._tasks + senders:
-            task.cancel()
-        for task in self._tasks + senders:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        """Close every connection, stop background tasks and release
+        parked waiters."""
+        self._stopped = True
+        self._wake()
+        tasks = self._tasks + list(self._dialing.values())
         self._tasks.clear()
-        conn_tasks = list(self._conn_tasks)
-        self._conn_tasks.clear()
-        for task in conn_tasks:
+        for task in tasks:
             task.cancel()
-        for task in conn_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        writers = list(self._writers.values())
-        self._writers.clear()
-        for writer in writers:
-            writer.close()
-        for writer in writers:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._dialing.clear()
+        self._pending.clear()
+        for transport in (*self._transports.values(), *self._inbound):
+            transport.close()
+        self._transports.clear()
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
@@ -185,7 +244,7 @@ class RuntimeNode:
     @property
     def stopped(self) -> bool:
         """True once :meth:`stop` has been called (the node is inert)."""
-        return self._stopped.is_set()
+        return self._stopped
 
     @property
     def address(self) -> NodeAddress:
@@ -201,25 +260,15 @@ class RuntimeNode:
         The payload is normalised to its JSON wire image
         (:func:`~repro.runtime.framing.canonical_payload`) so the local
         copy equals what every peer will decode."""
-        from dataclasses import replace
-
         canonical = canonical_payload(request.data)
         if canonical is not request.data:
             request = replace(request, data=canonical)
-        async with self._lock:
-            self.server.submit(request)
+        self.server.submit(request)
 
     async def start_round(self, *, payload: Optional[Batch] = None) -> None:
         """A-broadcast into the next open window slot (with the default
         ``pipeline_depth`` of 1: the current round's message)."""
-        async with self._lock:
-            self._execute(self.server.start_round(payload=payload))
-
-    async def fill_window(self, *, payload: Optional[Batch] = None) -> None:
-        """A-broadcast into every open window slot — all ``pipeline_depth``
-        rounds the server may run concurrently."""
-        async with self._lock:
-            self._execute(self.server.fill_window(payload=payload))
+        self._execute(self.server.start_round(payload=payload))
 
     def on_deliver(self, callback: Callable[[DeliveredRound], None]) -> None:
         """Register a callback invoked on every A-delivered round."""
@@ -239,8 +288,7 @@ class RuntimeNode:
             return
         self._suspected.add(suspect)
         self.mark_down(suspect)
-        async with self._lock:
-            self._execute(self.server.notify_failure(suspect))
+        self._execute(self.server.notify_failure(suspect))
 
     @property
     def delivered_rounds(self) -> int:
@@ -251,111 +299,133 @@ class RuntimeNode:
         """Number of rounds this node's server has A-broadcast in."""
         return self.server.broadcast_rounds
 
+    # ------------------------------------------------------------------ #
+    # Round driving and completion
+    # ------------------------------------------------------------------ #
+    async def drive_to(self, until: int) -> None:
+        """Drive this node until it has A-broadcast in *until* rounds in
+        total: open window slots are issued now, and every later delivery
+        re-issues the slots it opened (a slot capped by an epoch barrier is
+        retried by the delivery that drains the barrier).
+
+        *until* is an **absolute** round count, the same on every node of a
+        cluster — not "k more rounds from here": ``broadcast_rounds`` and
+        the epoch barrier advance at different protocol times on different
+        nodes, so relative targets drift apart and a node can end up
+        awaiting a round its peers never broadcast in."""
+        if until > self._drive_target:
+            self._drive_target = until
+        self._issue()
+
+    def _issue(self) -> None:
+        while not self._stopped:
+            before = self.server.broadcast_rounds
+            if before >= self._drive_target:
+                return
+            self._execute(self.server.start_round())
+            if self.server.broadcast_rounds == before:
+                return          # window capped; the next delivery retries
+
+    async def wait_delivered(self, count: int, *,
+                             timeout: float = 30.0) -> bool:
+        """Park until this node has delivered *count* rounds in total.
+
+        Returns ``False`` — at once, also for a waiter already parked — if
+        the node is stopped first; raises :class:`RoundTimeout` after
+        *timeout* seconds."""
+        if len(self.delivered) >= count:
+            return True
+        if self._stopped:
+            return False
+        loop = asyncio.get_running_loop()
+        waiter: asyncio.Future[None] = loop.create_future()
+        self._waiters.append((count, waiter))
+        timer = loop.call_later(timeout, self._expire, waiter, timeout)
+        try:
+            await waiter
+        finally:
+            timer.cancel()
+        return len(self.delivered) >= count
+
     async def wait_for_round(self, round_no: int, *,
                              timeout: float = 30.0) -> DeliveredRound:
         """Wait until the node has delivered *round_no* (0-based)."""
-        deadline = time.monotonic() + timeout
-        while len(self.delivered) <= round_no:
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"server {self.id} did not deliver round {round_no} "
-                    f"within {timeout}s")
-            await asyncio.sleep(0.005)
+        if not await self.wait_delivered(round_no + 1, timeout=timeout):
+            raise ConnectionError(f"server {self.id} was stopped before it "
+                                  f"delivered round {round_no}")
         return self.delivered[round_no]
 
+    def _wake(self) -> None:
+        """Resolve every waiter whose round count is reached (all of them
+        once the node is stopped); drop cancelled and expired ones."""
+        reached = len(self.delivered)
+        parked = []
+        for count, waiter in self._waiters:
+            if waiter.done():
+                continue
+            if count <= reached or self._stopped:
+                waiter.set_result(None)
+            else:
+                parked.append((count, waiter))
+        self._waiters = parked
+
+    def _expire(self, waiter: "asyncio.Future[None]", waited: float) -> None:
+        if waiter.done():
+            return
+        round_no = len(self.delivered)
+        ctx = self.server.round_context(round_no)
+        waiter.set_exception(RoundTimeout(
+            self.id, round_no,
+            missing=None if ctx is None else [
+                p for p in ctx.members if not ctx.known_mask >> p & 1],
+            suspected=sorted(self._suspected), unsent=self.unsent_bytes(),
+            waited=waited))
+        self._wake()        # forget the expired waiter
+
+    def unsent_bytes(self) -> dict[int, int]:
+        """Per live peer: bytes queued here or in its transport's write
+        buffer, i.e. handed to the send path but not yet to the kernel."""
+        unsent = {peer: sum(map(len, frames))
+                  for peer, frames in self._pending.items()}
+        for peer, transport in self._transports.items():
+            unsent[peer] = (unsent.get(peer, 0)
+                            + transport.get_write_buffer_size())
+        return {peer: nbytes for peer, nbytes in unsent.items()
+                if nbytes and peer not in self._down}
+
     # ------------------------------------------------------------------ #
-    # Connections
+    # Receive path
     # ------------------------------------------------------------------ #
-    async def _connect(self, peer: int) -> None:
-        addr = self.addresses[peer]
-        for attempt in range(40):
-            # Re-checked every attempt: the peer can be marked down (or this
-            # node stopped) *while* the retry loop is sleeping.  Without the
-            # re-check a send to a just-crashed peer keeps dialling its dead
-            # listener for the full backoff — and since effects execute
-            # under the protocol lock, that stalls the node's own round
-            # driving for ~40s (long enough to look like a lost round).
-            if peer in self._down or self._stopped.is_set():
-                return
-            try:
-                _reader, writer = await asyncio.open_connection(
-                    addr.host, addr.port)
-                self._writers[peer] = writer
-                return
-            except OSError:
-                await asyncio.sleep(0.05 * (attempt + 1))
-        raise ConnectionError(f"server {self.id} cannot reach {peer}")
+    def _accept_broadcast(self, sender: int, rnd: int, origin: int) -> bool:
+        """The decoders' ``accept`` predicate: a refused frame still proves
+        its sender alive."""
+        self._last_heard[sender] = time.monotonic()
+        return self.server.accepts_broadcast(sender, rnd, origin)
 
-    def mark_down(self, peer: int) -> None:
-        """Note that *peer* is dead: close its connection and stop dialling
-        it (fail-stop model — a crashed server never comes back under the
-        same endpoint within an epoch).
-
-        This is a public sync entry point (the facade thread may call it
-        while the loop runs), so it must not mutate ``_writers`` — the
-        sender/heartbeat loops pop entries loop-side, and popping here too
-        would race them.  Closing is enough: every reader of ``_writers``
-        checks ``_down`` or ``is_closing()`` first, and the loop-side
-        teardown paths drop the stale entry."""
-        self._down.add(peer)
-        writer = self._writers.get(peer)
-        if writer is not None:
-            writer.close()
-
-    async def _get_writer(self, peer: int) -> Optional[asyncio.StreamWriter]:
-        if peer in self._down:
-            return None
-        writer = self._writers.get(peer)
-        if writer is None or writer.is_closing():
-            try:
-                await self._connect(peer)
-            except ConnectionError:
-                return None
-            writer = self._writers.get(peer)
-        return writer
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        decoder = self.codec.decoder()
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while not self._stopped.is_set():
-                data = await reader.read(65536)
-                if not data:
-                    break
-                for item in decoder.feed(data):
-                    await self._handle_frame(item)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-
-    async def _handle_frame(self, item: DecodedFrame) -> None:
+    def _handle_frame(self, item: DecodedFrame) -> None:
         if isinstance(item, dict):                     # control frame
-            if item.get("type") == "heartbeat":
-                self._last_heard[int(item["from"])] = time.monotonic()
-                return
-            raise ValueError(f"unknown control frame {item.get('type')!r}")
+            sender = item.get("from")
+            if item.get("type") == "heartbeat" and isinstance(sender, int):
+                self._last_heard[sender] = time.monotonic()
+            else:
+                self.malformed_frames += 1      # well-framed: stream is fine
+            return
         sender, message = item
         self._last_heard[sender] = time.monotonic()
-        async with self._lock:
-            self._execute(self.server.handle_message(sender, message))
+        self._execute(self.server.handle_message(sender, message))
 
     # ------------------------------------------------------------------ #
-    # Effects
+    # Effects and the send path
     # ------------------------------------------------------------------ #
     def _execute(self, effects: list[Effect]) -> None:
-        """Apply protocol effects synchronously (called under the lock).
-
-        Nothing here may await: sends only *enqueue* frames, and the
-        per-peer sender tasks do the socket I/O outside the lock."""
+        """Apply protocol effects.  Nothing here awaits: sends only queue
+        frames for this tick's flush."""
+        delivered = False
         for effect in effects:
             if isinstance(effect, Send):
-                self._send_effect(effect)
+                frame = self.codec.encode_message(self.id, effect.message)
+                for target in effect.targets:
+                    self._enqueue(target, frame)
             elif isinstance(effect, Deliver):
                 record = DeliveredRound(
                     round=effect.round, messages=effect.messages,
@@ -363,65 +433,99 @@ class RuntimeNode:
                 self.delivered.append(record)
                 for cb in self.deliver_callbacks:
                     cb(record)
+                delivered = True
             elif isinstance(effect, RoundAdvance):
                 continue
+        if delivered:
+            # after the whole list, so re-issued broadcasts queue behind
+            # everything the delivery itself sent
+            self._issue()
+            if self._waiters:
+                self._wake()
 
-    def _send_effect(self, effect: Send) -> None:
-        frame = self.codec.encode_message(self.id, effect.message)
-        for target in effect.targets:
-            self._enqueue_frame(target, frame)
-
-    def _enqueue_frame(self, peer: int, frame: bytes) -> None:
-        """Queue *frame* for *peer*, lazily starting its sender task.
-
-        Enqueueing happens under the protocol lock, so the per-peer
-        queue sees frames in effect order; the single sender per peer
-        preserves that order on the wire."""
-        if peer in self._down or self._stopped.is_set():
+    def _enqueue(self, peer: int, frame: bytes) -> None:
+        if peer in self._down or self._stopped:
             return
-        queue = self._outboxes.get(peer)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._outboxes[peer] = queue
-            self._senders[peer] = asyncio.create_task(
-                self._sender_loop(peer, queue))
-        queue.put_nowait(frame)
+        frames = self._pending.get(peer)
+        if frames is None:
+            frames = self._pending[peer] = []
+        frames.append(frame)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush)
 
-    async def _sender_loop(self, peer: int,
-                           queue: "asyncio.Queue[bytes]") -> None:
-        """Drain one peer's outbox: dial (with backoff) and write, both
-        outside the protocol lock.  Frames to a down peer are dropped,
-        matching the fail-stop model."""
-        while not self._stopped.is_set():
-            frame = await queue.get()
-            writer = await self._get_writer(peer)
-            if writer is None:
+    def _flush(self) -> None:
+        """Write every peer's queued frames in one call each."""
+        self._flush_scheduled = False
+        for peer, frames in self._pending.items():
+            if not frames:
                 continue
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                self._writers.pop(peer, None)
+            if peer in self._down:
+                frames.clear()
+                continue
+            transport = self._transports.get(peer)
+            if transport is None or transport.is_closing():
+                self._ensure_dial(peer)     # frames keep their order
+                continue
+            transport.write(b"".join(frames))
+            frames.clear()
+
+    def _ensure_dial(self, peer: int) -> None:
+        if peer not in self._dialing and not self._stopped:
+            self._dialing[peer] = asyncio.create_task(self._dial(peer))
+
+    async def _dial(self, peer: int) -> None:
+        """Connect to *peer* with bounded backoff, then flush what queued
+        up meanwhile; after the last attempt the queue is dropped."""
+        loop = asyncio.get_running_loop()
+        try:
+            for attempt in range(_DIAL_ATTEMPTS):
+                # re-checked every attempt: the peer can be marked down (or
+                # this node stopped) while the backoff sleeps
+                if peer in self._down or self._stopped:
+                    return
+                addr = self.addresses[peer]
+                try:
+                    transport, _protocol = await loop.create_connection(
+                        asyncio.Protocol, addr.host, addr.port)
+                except OSError:
+                    await asyncio.sleep(0.05 * (attempt + 1))
+                    continue
+                if peer in self._down or self._stopped:
+                    transport.close()
+                    return
+                self._transports[peer] = transport
+                self._flush()
+                return
+            self._pending.pop(peer, None)
+        finally:
+            self._dialing.pop(peer, None)
+
+    def mark_down(self, peer: int) -> None:
+        """Note that *peer* is dead: close its connection and stop dialling
+        it (fail-stop model — a crashed server never comes back under the
+        same endpoint within an epoch).  Frames still queued for it are
+        dropped by the next flush."""
+        self._down.add(peer)
+        transport = self._transports.get(peer)
+        if transport is not None:
+            transport.close()
 
     # ------------------------------------------------------------------ #
-    # Failure detector (heartbeats over the same connections)
+    # Failure detector (heartbeats over the same send path)
     # ------------------------------------------------------------------ #
     async def _heartbeat_loop(self) -> None:
         frame = self.codec.encode_control({"type": "heartbeat",
                                            "from": self.id})
-        while not self._stopped.is_set():
-            for succ in self.server.graph.successors(self.id):
-                writer = self._writers.get(succ)
-                if writer is not None and not writer.is_closing():
-                    try:
-                        writer.write(frame)
-                        await writer.drain()
-                    except (ConnectionResetError, BrokenPipeError):
-                        self._writers.pop(succ, None)
+        while not self._stopped:
+            for succ in self.server.successors:
+                # anything already queued is as good a sign of life
+                if not self._pending.get(succ):
+                    self._enqueue(succ, frame)
             await asyncio.sleep(self.heartbeat_period)
 
     async def _timeout_loop(self) -> None:
-        while not self._stopped.is_set():
+        while not self._stopped:
             await asyncio.sleep(self.heartbeat_period)
             now = time.monotonic()
             for pred in self.server.graph.predecessors(self.id):

@@ -69,7 +69,7 @@ from .framing import (
     request_from_json,
     request_to_json,
 )
-from .node import DeliveredRound, NodeAddress, RuntimeNode
+from .node import DeliveredRound, NodeAddress, RoundTimeout, RuntimeNode
 
 __all__ = ["ProcessCluster"]
 
@@ -100,45 +100,6 @@ def _child_main(server_id: int, config: AllConcurConfig, host: str,
     except Exception:   # pragma: no cover - surfaced via parent timeout
         traceback.print_exc()
         os._exit(1)
-
-
-async def _run_until(node: RuntimeNode, until: int, timeout: float,
-                     progress: asyncio.Event) -> None:
-    """Drive this node until it has delivered *until* rounds in total.
-
-    *until* is an **absolute** target the parent computed once and sent to
-    every child, not a per-child relative count: ``broadcast_rounds`` and
-    the epoch barrier advance at different protocol times on different
-    nodes (a membership change caps some windows before others), so
-    relative targets drift apart and a node can end up awaiting a round
-    whose broadcast its peers never issue in this call.  With one shared
-    absolute target every node keeps re-issuing window slots (capped slots
-    retry on the next poll, after a delivery drained the barrier) until it
-    has A-broadcast in all *until* rounds — exactly what its slowest peer
-    needs to finish.  A node already past the target replies immediately:
-    having delivered ``>= until`` rounds implies it already broadcast in
-    every round the laggards are waiting on."""
-    deadline = time.monotonic() + timeout
-    while node.delivered_rounds < until:
-        while node.broadcast_rounds < until:
-            before = node.broadcast_rounds
-            await node.start_round()
-            if node.broadcast_rounds == before:
-                break       # window capped; retried on the next poll
-        if node.delivered_rounds >= until:
-            break
-        if time.monotonic() > deadline:
-            raise TimeoutError(
-                f"server {node.id} delivered {node.delivered_rounds} of "
-                f"{until} rounds within {timeout}s")
-        # Delivery-kicked, not fixed-interval polled: with pipeline depth 1
-        # the next broadcast is gated on the previous delivery, so a sleep
-        # here would put its full duration on EVERY round's critical path.
-        progress.clear()
-        try:
-            await asyncio.wait_for(progress.wait(), 0.05)
-        except asyncio.TimeoutError:
-            pass        # re-check the window anyway (barrier may have moved)
 
 
 async def _child(server_id: int, config: AllConcurConfig, host: str,
@@ -182,11 +143,7 @@ async def _child(server_id: int, config: AllConcurConfig, host: str,
     def send(obj: dict[str, Any]) -> None:
         outbox.put_nowait(encode_frame(obj))
 
-    #: set on every A-delivery — wakes the round-driving loop immediately
-    progress = asyncio.Event()
-
     def on_deliver(rec: DeliveredRound) -> None:
-        progress.set()
         frame = {"type": "deliver", "id": server_id, "round": rec.round,
                  "removed": list(rec.removed), "wall": rec.wall_time}
         if report == "digest":
@@ -201,8 +158,16 @@ async def _child(server_id: int, config: AllConcurConfig, host: str,
     send({"type": "hello", "id": server_id, "port": node.address.port})
 
     async def run_and_reply(until: int, timeout: float, req: int) -> None:
+        # The node drives itself to the parent's ONE absolute target (see
+        # RuntimeNode.drive_to); a node already past it replies at once —
+        # having delivered ``>= until`` rounds implies it already broadcast
+        # in every round the laggards are waiting on.
         try:
-            await _run_until(node, until, timeout, progress)
+            await node.drive_to(until)
+            await node.wait_delivered(until, timeout=timeout)
+        except RoundTimeout as exc:
+            send({"type": "reply", "req": req, "error": str(exc),
+                  "round_timeout": vars(exc)})
         except Exception as exc:
             send({"type": "reply", "req": req,
                   "error": f"{type(exc).__name__}: {exc}"})
@@ -242,24 +207,12 @@ async def _child(server_id: int, config: AllConcurConfig, host: str,
                         run_and_reply(obj["until"], obj["timeout"], req))
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
-                elif kind == "start_round":
-                    await node.start_round()
-                    send({"type": "reply", "req": req,
-                          "broadcast_rounds": node.broadcast_rounds})
-                elif kind == "fill_window":
-                    await node.fill_window()
-                    send({"type": "reply", "req": req,
-                          "broadcast_rounds": node.broadcast_rounds})
                 elif kind == "notify_failure":
                     await node.notify_failure(obj["suspect"])
                     send({"type": "reply", "req": req})
                 elif kind == "mark_down":
                     node.mark_down(obj["peer"])
                     send({"type": "reply", "req": req})
-                elif kind == "status":
-                    send({"type": "reply", "req": req,
-                          "broadcast_rounds": node.broadcast_rounds,
-                          "delivered_rounds": node.delivered_rounds})
                 elif kind == "stop":
                     send({"type": "reply", "req": req})
                     stopping = True
@@ -326,9 +279,8 @@ class _ProcessNode:
         deadline = time.monotonic() + timeout
         while len(self.delivered) <= round_no:
             if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"server {self.id} did not deliver round {round_no} "
-                    f"within {timeout}s")
+                # the round's known set lives in the child: no detail here
+                raise RoundTimeout(self.id, round_no, waited=timeout)
             self.progress.clear()
             try:
                 await asyncio.wait_for(self.progress.wait(), 0.05)
@@ -540,8 +492,8 @@ class ProcessCluster:
         error = obj.get("error")
         if error is None:
             future.set_result(obj)
-        elif error.startswith("TimeoutError"):
-            future.set_exception(TimeoutError(error))
+        elif "round_timeout" in obj:
+            future.set_exception(RoundTimeout(**obj["round_timeout"]))
         else:
             future.set_exception(RuntimeError(
                 f"server process {pid}: {error}"))
@@ -670,7 +622,7 @@ class ProcessCluster:
         single ``run`` command, and collects the streamed deliveries — so
         steady-state throughput never waits on control round-trips, and
         every child issues exactly the broadcasts its slowest peer needs
-        (see :func:`_run_until`)."""
+        (see :meth:`RuntimeNode.drive_to`)."""
         results: list[dict[int, DeliveredRound]] = []
         live = self.alive_members
         if not live or rounds <= 0:

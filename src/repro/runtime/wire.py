@@ -11,21 +11,30 @@ Two codecs are registered:
 ``"binary"`` (default)
     Frame layout::
 
-        4-byte big-endian body length | 1-byte wire version | envelope
+        4-byte big-endian body length | 1-byte wire version | 1-byte kind
+            | envelope
 
-    The envelope is a flat tuple — ``(kind, sender, round, ...)`` with
-    batches as tuples of ``(origin, seq, nbytes, submit_time, data,
-    client)`` request rows — serialised with :mod:`marshal`, CPython's
-    C-speed codec for exactly the value shapes the runtime carries
-    (payload ``data`` is always a canonical JSON value, enforced at the
-    submit boundary by :func:`.framing.canonical_payload`).  The envelope
-    idiom follows msgpack-style consensus transports (flat tagged tuples,
-    one length-prefixed frame per message); msgpack itself is not a
-    dependency of this repository, and marshal is both faster and already
-    in the standard library.  Both ends of every connection are CPython
-    processes on one host (the deployment model of this runtime), so
-    marshal's same-interpreter format assumption holds; the version byte
-    exists to fail loudly if that ever changes.
+    The envelope is a flat tuple — ``(sender, round, ...)`` — serialised
+    with :mod:`marshal`, CPython's C-speed codec for exactly the value
+    shapes the runtime carries (payload ``data`` is always a canonical
+    JSON value, enforced at the submit boundary by
+    :func:`.framing.canonical_payload`).  ``<BCAST>`` frames, the only ones
+    that carry a payload, put a fixed ``struct`` routing header ``(sender,
+    round, origin)`` ahead of the marshal envelope ``(count, nbytes,
+    rows)`` (rows are ``(origin, seq, nbytes, submit_time, data, client)``
+    request tuples): a decoder built with an ``accept(sender, round,
+    origin)`` predicate answers from those 12 bytes and skips a refused
+    frame without unmarshalling it.  In a GS(n,d) overlay d−1 of the d
+    copies of every message are duplicates the core would discard anyway,
+    so that is most of the inbound payload bytes.
+
+    The envelope idiom follows msgpack-style consensus transports (flat
+    tagged tuples, one length-prefixed frame per message); msgpack itself
+    is not a dependency of this repository, and marshal is both faster and
+    already in the standard library.  Both ends of every connection are
+    CPython processes on one host (the deployment model of this runtime),
+    so marshal's same-interpreter format assumption holds; the version
+    byte exists to fail loudly if that ever changes.
 
 ``"json"``
     The original length-prefixed JSON image, byte-identical to what the
@@ -37,16 +46,17 @@ Two codecs are registered:
 Decoded items are either ``(sender, Message)`` tuples (protocol traffic)
 or plain dicts (control frames — heartbeats).  Decoders are incremental
 and hardened: truncated frames wait for more bytes, an oversized length
-prefix raises before any body is buffered, and a garbage version byte or
-undecodable envelope raises :class:`ValueError` instead of crashing the
-connection handler with an arbitrary exception.
+prefix raises before any body is buffered, and a garbage version byte, a
+frame cut short inside its header or an undecodable envelope raises
+:class:`ValueError` — the one exception a connection handler has to
+expect from :meth:`feed`.
 """
 
 from __future__ import annotations
 
 import marshal
 import struct
-from typing import Any, Union, cast
+from typing import Any, Callable, Optional, Union, cast
 
 from ..core.batching import Batch, Request
 from ..core.messages import Backward, Broadcast, FailureNotice, Forward, Message
@@ -59,16 +69,20 @@ from .framing import (
 )
 
 __all__ = ["WIRE_VERSION", "WireCodec", "JsonCodec", "BinaryCodec",
-           "get_codec", "CODECS", "DecodedFrame"]
+           "get_codec", "CODECS", "DecodedFrame", "AcceptBroadcast"]
 
 #: Version byte leading every binary frame body.  Bumped whenever the
 #: envelope layout changes; a decoder that sees any other value raises.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _LEN = struct.Struct(">I")
-_VERSION_BYTE = bytes([WIRE_VERSION])
+#: Frame head: body length, then the first two body bytes (version, kind).
+_HEAD = struct.Struct(">IBB")
+#: ``<BCAST>`` routing header ``(sender, round, origin)``, between the
+#: head and the marshal envelope.
+_BCAST_HEADER = struct.Struct(">HQH")
 
-# Envelope kind tags (first element of every binary envelope tuple).
+# Envelope kind tags (the kind byte of every binary frame).
 _K_BCAST = 0
 _K_FAIL = 1
 _K_FWD = 2
@@ -81,6 +95,10 @@ _JSON_PROTOCOL_KINDS = frozenset({"bcast", "fail", "fwd", "bwd"})
 
 #: One decoded frame: protocol traffic or a control dict.
 DecodedFrame = Union[tuple[int, Message], dict[str, Any]]
+
+#: ``accept(sender, round, origin)`` — asked per ``<BCAST>`` frame before
+#: its payload is decoded; ``False`` drops the frame.
+AcceptBroadcast = Callable[[int, int, int], bool]
 
 
 class WireCodec:
@@ -102,9 +120,14 @@ class WireCodec:
         """One control frame (e.g. a heartbeat) as a complete frame."""
         raise NotImplementedError
 
-    def decoder(self, *,
-                max_frame_bytes: int = MAX_FRAME_BYTES) -> "Any":
-        """A fresh incremental decoder for one connection."""
+    def decoder(self, *, max_frame_bytes: int = MAX_FRAME_BYTES,
+                accept: Optional[AcceptBroadcast] = None) -> "Any":
+        """A fresh incremental decoder for one connection.
+
+        *accept* lets the receiver refuse ``<BCAST>`` frames by their
+        routing fields alone; a codec that cannot answer without a full
+        decode may ignore it (dropping is an optimisation — the protocol
+        core discards the same frames itself)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -148,8 +171,10 @@ class JsonCodec(WireCodec):
     def encode_control(self, obj: dict[str, Any]) -> bytes:
         return encode_frame(obj)
 
-    def decoder(self, *, max_frame_bytes: int = MAX_FRAME_BYTES
+    def decoder(self, *, max_frame_bytes: int = MAX_FRAME_BYTES,
+                accept: Optional[AcceptBroadcast] = None
                 ) -> _JsonMessageDecoder:
+        # the oracle decodes everything: *accept* is ignored
         return _JsonMessageDecoder(max_frame_bytes=max_frame_bytes)
 
 
@@ -158,26 +183,53 @@ class JsonCodec(WireCodec):
 # --------------------------------------------------------------------- #
 
 class _BinaryMessageDecoder:
-    """Incremental decoder for version-tagged marshal envelopes."""
+    """Incremental decoder for version-tagged binary frames."""
 
-    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES,
+                 accept: Optional[AcceptBroadcast] = None) -> None:
+        #: the unconsumed tail of the stream (a partial frame)
         self._buffer = bytearray()
         self.max_frame_bytes = max_frame_bytes
+        self._accept = accept
 
     def feed(self, data: bytes) -> list[DecodedFrame]:
+        # Complete frames are parsed in place — straight out of *data*
+        # when nothing is pending — and the buffer is trimmed once at the
+        # end; a ValueError leaves the decoder unusable (the caller closes
+        # the connection).
         buf = self._buffer
-        buf.extend(data)
+        view: Union[bytes, bytearray] = data
+        if buf:
+            buf += data
+            view = buf
         items: list[DecodedFrame] = []
-        header = _LEN.size
-        while len(buf) >= header:
-            (length,) = _LEN.unpack_from(buf, 0)
+        accept = self._accept
+        pos = 0
+        end = len(view)
+        while end - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(view, pos)
             if length > self.max_frame_bytes:
                 raise ValueError(f"frame length {length} exceeds limit")
-            if len(buf) < header + length:
+            start = pos + _LEN.size
+            stop = start + length
+            if stop > end:
                 break
-            body = bytes(buf[header:header + length])
-            del buf[:header + length]
-            items.append(_decode_body(body))
+            if not length:
+                raise ValueError("empty frame body")
+            if view[start] != WIRE_VERSION:
+                raise ValueError(f"unsupported wire version {view[start]} "
+                                 f"(expected {WIRE_VERSION})")
+            if length < 2:
+                raise ValueError("frame body ends before the kind byte")
+            item = _decode_frame(view[start + 1], view, start + 2, stop,
+                                 accept)
+            if item is not None:
+                items.append(item)
+            pos = stop
+        if view is buf:
+            del buf[:pos]
+        elif pos < end:
+            buf += data[pos:]
         return items
 
     @property
@@ -185,72 +237,75 @@ class _BinaryMessageDecoder:
         return len(self._buffer)
 
 
-def _decode_body(body: bytes) -> DecodedFrame:
-    if not body:
-        raise ValueError("empty frame body")
-    if body[0] != WIRE_VERSION:
-        raise ValueError(f"unsupported wire version {body[0]} "
-                         f"(expected {WIRE_VERSION})")
+def _loads(blob: Union[bytes, bytearray]) -> Any:
     try:
-        envelope = marshal.loads(body[1:])
+        return marshal.loads(blob)
     except (ValueError, EOFError, TypeError) as exc:
         raise ValueError(f"undecodable binary envelope: {exc}") from None
+
+
+def _decode_frame(kind: int, view: Union[bytes, bytearray], start: int,
+                  stop: int, accept: Optional[AcceptBroadcast]
+                  ) -> Optional[DecodedFrame]:
+    """Decode the frame body ``view[start:stop]`` (past version and kind);
+    None for a ``<BCAST>`` that *accept* refused."""
     try:
-        return _decode_envelope(envelope)
-    except ValueError:
-        raise
+        if kind == _K_BCAST:
+            if stop - start < _BCAST_HEADER.size:
+                raise ValueError("frame body ends inside the <BCAST> header")
+            sender, rnd, origin = _BCAST_HEADER.unpack_from(view, start)
+            if accept is not None and not accept(sender, rnd, origin):
+                return None
+            count, nbytes, rows = _loads(
+                view[start + _BCAST_HEADER.size:stop])
+            new = object.__new__
+            requests: tuple[Request, ...]
+            if rows:
+                decoded: list[Request] = []
+                append = decoded.append
+                for o, s, nb, st, d, c in rows:
+                    request = new(Request)
+                    request.__dict__.update(
+                        origin=o, seq=s, nbytes=nb, submit_time=st,
+                        data=d, client=c)
+                    append(request)
+                requests = tuple(decoded)
+            else:
+                requests = ()
+            batch = new(Batch)
+            batch.__dict__.update(count=count, nbytes=nbytes,
+                                  requests=requests)
+            return sender, Broadcast(round=rnd, origin=origin, payload=batch)
+        if kind == _K_FAIL:
+            sender, rnd, failed, reporter = _loads(view[start:stop])
+            return sender, FailureNotice(round=rnd, failed=failed,
+                                         reporter=reporter)
+        if kind == _K_FWD:
+            sender, rnd, origin = _loads(view[start:stop])
+            return sender, Forward(round=rnd, origin=origin)
+        if kind == _K_BWD:
+            sender, rnd, origin = _loads(view[start:stop])
+            return sender, Backward(round=rnd, origin=origin)
+        if kind == _K_CONTROL:
+            (obj,) = _loads(view[start:stop])
+            if not isinstance(obj, dict):
+                raise ValueError(f"control frame is not an object: {obj!r}")
+            return obj
     except (TypeError, IndexError, KeyError) as exc:
         raise ValueError(f"malformed binary envelope: {exc}") from None
-
-
-def _decode_envelope(env: Any) -> DecodedFrame:
-    kind = env[0]
-    if kind == _K_BCAST:
-        _k, sender, rnd, origin, count, nbytes, rows = env
-        new = object.__new__
-        requests: tuple[Request, ...]
-        if rows:
-            decoded: list[Request] = []
-            append = decoded.append
-            for o, s, nb, st, d, c in rows:
-                request = new(Request)
-                request.__dict__.update(
-                    origin=o, seq=s, nbytes=nb, submit_time=st,
-                    data=d, client=c)
-                append(request)
-            requests = tuple(decoded)
-        else:
-            requests = ()
-        batch = new(Batch)
-        batch.__dict__.update(count=count, nbytes=nbytes, requests=requests)
-        return sender, Broadcast(round=rnd, origin=origin, payload=batch)
-    if kind == _K_FAIL:
-        _k, sender, rnd, failed, reporter = env
-        return sender, FailureNotice(round=rnd, failed=failed,
-                                     reporter=reporter)
-    if kind == _K_FWD:
-        _k, sender, rnd, origin = env
-        return sender, Forward(round=rnd, origin=origin)
-    if kind == _K_BWD:
-        _k, sender, rnd, origin = env
-        return sender, Backward(round=rnd, origin=origin)
-    if kind == _K_CONTROL:
-        obj = env[1]
-        if not isinstance(obj, dict):
-            raise ValueError(f"control frame is not an object: {obj!r}")
-        return obj
     raise ValueError(f"unknown envelope kind {kind!r}")
 
 
-def _frame(envelope: tuple[Any, ...]) -> bytes:
-    body = _VERSION_BYTE + marshal.dumps(envelope)
-    if len(body) > MAX_FRAME_BYTES:
-        raise ValueError(f"frame too large ({len(body)} bytes)")
-    return _LEN.pack(len(body)) + body
+def _frame(kind: int, envelope: tuple[Any, ...], header: bytes = b"") -> bytes:
+    payload = marshal.dumps(envelope)
+    length = 2 + len(header) + len(payload)
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(f"frame too large ({length} bytes)")
+    return _HEAD.pack(length, WIRE_VERSION, kind) + header + payload
 
 
 class BinaryCodec(WireCodec):
-    """Length-prefixed, version-tagged marshal envelopes (see module doc).
+    """Length-prefixed, version-tagged binary frames (see module doc).
 
     Several times faster than :class:`JsonCodec` in both directions: the
     encoder packs flat tuples straight from the message objects (no
@@ -273,26 +328,29 @@ class BinaryCodec(WireCodec):
             rows = tuple(
                 (r.origin, r.seq, r.nbytes, r.submit_time, r.data, r.client)
                 for r in batch.requests)
-            return _frame((_K_BCAST, sender, bcast.round, bcast.origin,
-                           batch.count, batch.nbytes, rows))
+            return _frame(_K_BCAST, (batch.count, batch.nbytes, rows),
+                          _BCAST_HEADER.pack(sender, bcast.round,
+                                             bcast.origin))
         if t is FailureNotice:
             fail = cast(FailureNotice, message)
-            return _frame((_K_FAIL, sender, fail.round, fail.failed,
-                           fail.reporter))
+            return _frame(_K_FAIL, (sender, fail.round, fail.failed,
+                                    fail.reporter))
         if t is Forward:
             fwd = cast(Forward, message)
-            return _frame((_K_FWD, sender, fwd.round, fwd.origin))
+            return _frame(_K_FWD, (sender, fwd.round, fwd.origin))
         if t is Backward:
             bwd = cast(Backward, message)
-            return _frame((_K_BWD, sender, bwd.round, bwd.origin))
+            return _frame(_K_BWD, (sender, bwd.round, bwd.origin))
         raise TypeError(f"cannot encode {type(message)!r}")
 
     def encode_control(self, obj: dict[str, Any]) -> bytes:
-        return _frame((_K_CONTROL, obj))
+        return _frame(_K_CONTROL, (obj,))
 
-    def decoder(self, *, max_frame_bytes: int = MAX_FRAME_BYTES
+    def decoder(self, *, max_frame_bytes: int = MAX_FRAME_BYTES,
+                accept: Optional[AcceptBroadcast] = None
                 ) -> _BinaryMessageDecoder:
-        return _BinaryMessageDecoder(max_frame_bytes=max_frame_bytes)
+        return _BinaryMessageDecoder(max_frame_bytes=max_frame_bytes,
+                                     accept=accept)
 
 
 # --------------------------------------------------------------------- #

@@ -199,16 +199,15 @@ class TestWholeProgramRegressions:
         tree = _runtime_tree_copy(tmp_path)
         wire = tree / "wire.py"
         wire.write_text(wire.read_text().replace(
-            "return _frame((_K_FWD, sender, fwd.round, fwd.origin))",
-            "return _frame((_K_FWD, sender, fwd.round, fwd.origin, "
+            "return _frame(_K_FWD, (sender, fwd.round, fwd.origin))",
+            "return _frame(_K_FWD, (sender, fwd.round, fwd.origin, "
             "fwd.epoch))"
         ).replace(
-            "    if kind == _K_FWD:\n"
-            "        _k, sender, rnd, origin = env\n"
-            "        return sender, Forward(round=rnd, origin=origin)",
-            "    if kind == _K_FWD:\n"
-            "        _k, sender, rnd, origin, epoch = env\n"
-            "        return sender, Forward(round=rnd, origin=origin)"))
+            "        if kind == _K_FWD:\n"
+            "            sender, rnd, origin = _loads(view[start:stop])",
+            "        if kind == _K_FWD:\n"
+            "            sender, rnd, origin, epoch = "
+            "_loads(view[start:stop])"))
         framing = tree / "framing.py"
         framing.write_text(framing.read_text().replace(
             '        return {"type": "fwd", "from": sender, '

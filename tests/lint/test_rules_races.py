@@ -130,3 +130,22 @@ class TestSerialised:
                     self._writers.pop(peer, None)
         """)
         assert r701(findings) == []
+
+    def test_asyncio_protocol_callbacks_are_loop_side(self, lint):
+        # data_received is public and sync, but the event loop is its
+        # only caller: a write it shares with a coroutine is no race
+        source = """
+            import asyncio
+
+            class Receiver({base}):
+                def data_received(self, data):
+                    self._buffered += len(data)
+
+                async def drain(self):
+                    self._buffered = 0
+        """
+        assert r701(lint_runtime(
+            lint, source.format(base="asyncio.Protocol"))) == []
+        # the same shape on a plain class is still a facade entry point
+        assert rule_ids(r701(lint_runtime(
+            lint, source.format(base="object")))) == ["R701"]

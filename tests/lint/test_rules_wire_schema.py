@@ -33,17 +33,17 @@ class TestBinaryParity:
             _K_FWD = 7
 
 
-            def _frame(parts):
-                return repr(parts).encode()
+            def _frame(kind, parts):
+                return repr((kind, parts)).encode()
 
 
             def encode_forward(msg):
-                return _frame((_K_FWD, msg.sender, msg.round))
+                return _frame(_K_FWD, (msg.sender, msg.round))
 
 
-            def decode(env):
-                if env[0] == _K_FWD:
-                    _k, sender, rnd = env
+            def decode(kind, env):
+                if kind == _K_FWD:
+                    sender, rnd = env
                     return sender, rnd
                 raise ValueError(env)
         """)
@@ -56,18 +56,18 @@ class TestBinaryParity:
             _K_FWD = 7
 
 
-            def _frame(parts):
-                return repr(parts).encode()
+            def _frame(kind, parts):
+                return repr((kind, parts)).encode()
 
 
             def encode_forward(msg):
-                return _frame((_K_FWD, msg.sender, msg.round,
-                               msg.origin))
+                return _frame(_K_FWD, (msg.sender, msg.round,
+                                       msg.origin))
 
 
-            def decode(env):
-                if env[0] == _K_FWD:
-                    _k, sender, rnd = env
+            def decode(kind, env):
+                if kind == _K_FWD:
+                    sender, rnd = env
                     return sender, rnd
                 raise ValueError(env)
         """)
@@ -77,6 +77,56 @@ class TestBinaryParity:
         assert "encodes fields (sender, round, origin)" in finding.message
         assert "decodes (sender, round)" in finding.message
 
+    HEADER_WIRE = """
+        import struct
+
+        WIRE_VERSION = 2
+
+        _K_BCAST = 0
+        _HEADER = struct.Struct(">HQH")
+
+
+        def _frame(kind, parts, header=b""):
+            return header + repr((kind, parts)).encode()
+
+
+        def encode_broadcast(sender, msg, rows):
+            return _frame(_K_BCAST, (msg.count, rows),
+                          _HEADER.pack(sender, msg.round{enc}))
+
+
+        def decode(kind, view, accept):
+            if kind == _K_BCAST:
+                sender, rnd{dec} = _HEADER.unpack_from(view, 0)
+                if not accept(sender, rnd):
+                    return None
+                count, rows = loads(view[_HEADER.size:])
+                return sender, rows
+            raise ValueError(kind)
+    """
+
+    def test_struct_header_fields_ride_ahead_of_the_envelope(self, lint):
+        # the fixed header's pack() arguments and unpack_from() targets
+        # are schema fields like any other, in wire order
+        findings = lint_wire(lint, self.HEADER_WIRE.format(
+            enc=", msg.origin", dec=", origin"))
+        assert w601(findings) == []
+
+    def test_header_field_packed_but_not_unpacked(self, lint):
+        findings = lint_wire(lint, self.HEADER_WIRE.format(
+            enc=", msg.origin", dec=""))
+        assert rule_ids(findings) == ["W601"]
+        (finding,) = findings
+        assert "encodes fields (sender, round, origin, count, rows)" \
+            in finding.message
+        assert "decodes (sender, round, count, rows)" in finding.message
+
+    def test_header_field_unpacked_but_not_packed(self, lint):
+        findings = lint_wire(lint, self.HEADER_WIRE.format(
+            enc="", dec=", origin"))
+        assert rule_ids(findings) == ["W601"]
+        assert "_K_BCAST" in findings[0].message
+
     def test_kind_encoded_but_never_decoded(self, lint):
         findings = lint_wire(lint, """
             WIRE_VERSION = 1
@@ -84,12 +134,12 @@ class TestBinaryParity:
             _K_FWD = 7
 
 
-            def _frame(parts):
-                return repr(parts).encode()
+            def _frame(kind, parts):
+                return repr((kind, parts)).encode()
 
 
             def encode_forward(msg):
-                return _frame((_K_FWD, msg.sender, msg.round))
+                return _frame(_K_FWD, (msg.sender, msg.round))
         """)
         assert rule_ids(findings) == ["W601"]
         assert "encoded but not decoded" in findings[0].message
@@ -101,9 +151,9 @@ class TestBinaryParity:
             _K_FWD = 7
 
 
-            def decode(env):
-                if env[0] == _K_FWD:
-                    _k, sender, rnd = env
+            def decode(kind, env):
+                if kind == _K_FWD:
+                    sender, rnd = env
                     return sender, rnd
                 raise ValueError(env)
         """)
@@ -117,19 +167,19 @@ class TestBinaryParity:
             _K_BATCH = 1
 
 
-            def _frame(parts):
-                return repr(parts).encode()
+            def _frame(kind, parts):
+                return repr((kind, parts)).encode()
 
 
             def encode_batch(batch):
                 rows = tuple((r.origin, r.seq, r.data)
                              for r in batch.rows)
-                return _frame((_K_BATCH, batch.sender, rows))
+                return _frame(_K_BATCH, (batch.sender, rows))
 
 
-            def decode(env):
-                if env[0] == _K_BATCH:
-                    _k, sender, rows = env
+            def decode(kind, env):
+                if kind == _K_BATCH:
+                    sender, rows = env
                     out = []
                     for row in rows:
                         req = Request()
@@ -162,18 +212,18 @@ CLEAN_WIRE = """
     _K_BCAST = 1
 
 
-    def _frame(parts):
-        return repr(parts).encode()
+    def _frame(kind, parts):
+        return repr((kind, parts)).encode()
 
 
     def encode_broadcast(msg, count, nbytes, rows):
-        return _frame((_K_BCAST, msg.sender, msg.round, count,
-                       nbytes, rows))
+        return _frame(_K_BCAST, (msg.sender, msg.round, count,
+                                 nbytes, rows))
 
 
-    def decode(env):
-        if env[0] == _K_BCAST:
-            _k, sender, rnd, count, nbytes, rows = env
+    def decode(kind, env):
+        if kind == _K_BCAST:
+            sender, rnd, count, nbytes, rows = env
             return 6, Broadcast(sender=sender, round=rnd, payload=rows)
         raise ValueError(env)
 """
@@ -211,17 +261,17 @@ class TestJsonAndCrossPlane:
             _K_FWD = 1
 
 
-            def _frame(parts):
-                return repr(parts).encode()
+            def _frame(kind, parts):
+                return repr((kind, parts)).encode()
 
 
             def encode_forward(msg):
-                return _frame((_K_FWD, msg.sender, msg.round))
+                return _frame(_K_FWD, (msg.sender, msg.round))
 
 
-            def decode(env):
-                if env[0] == _K_FWD:
-                    _k, sender, rnd = env
+            def decode(kind, env):
+                if kind == _K_FWD:
+                    sender, rnd = env
                     return sender, rnd
                 raise ValueError(env)
         """, fixframing="""
@@ -257,18 +307,18 @@ class TestJsonAndCrossPlane:
             _K_FWD = 1
 
 
-            def _frame(parts):
-                return repr(parts).encode()
+            def _frame(kind, parts):
+                return repr((kind, parts)).encode()
 
 
             def encode_forward(msg):
-                return _frame((_K_FWD, msg.sender, msg.round,
-                               msg.origin))
+                return _frame(_K_FWD, (msg.sender, msg.round,
+                                       msg.origin))
 
 
-            def decode(env):
-                if env[0] == _K_FWD:
-                    _k, sender, rnd, origin = env
+            def decode(kind, env):
+                if kind == _K_FWD:
+                    sender, rnd, origin = env
                     return 4, Forward(sender=sender, round=rnd,
                                       origin=origin)
                 raise ValueError(env)
@@ -301,24 +351,24 @@ GATE_WIRE = """
     _K_BWD = 2
 
 
-    def _frame(parts):
-        return repr(parts).encode()
+    def _frame(kind, parts):
+        return repr((kind, parts)).encode()
 
 
     def encode_forward(msg):
-        return _frame((_K_FWD, msg.sender, msg.round{extra_enc}))
+        return _frame(_K_FWD, (msg.sender, msg.round{extra_enc}))
 
 
     def encode_backward(msg):
-        return _frame((_K_BWD, msg.sender, msg.round))
+        return _frame(_K_BWD, (msg.sender, msg.round))
 
 
-    def decode(env):
-        if env[0] == _K_FWD:
-            _k, sender, rnd{extra_dec} = env
+    def decode(kind, env):
+        if kind == _K_FWD:
+            sender, rnd{extra_dec} = env
             return sender, rnd
-        if env[0] == _K_BWD:
-            _k, sender, rnd = env
+        if kind == _K_BWD:
+            sender, rnd = env
             return sender, rnd
         raise ValueError(env)
 """

@@ -8,13 +8,15 @@ RPCs, bulk submission, digest reporting, start-method selection, and the
 
 import asyncio
 import multiprocessing
+import os
+import signal
 
 import pytest
 
 from repro.api import create_deployment
 from repro.core import Request
 from repro.graphs import gs_digraph
-from repro.runtime import ProcessCluster
+from repro.runtime import ProcessCluster, RoundTimeout
 
 
 def run(coro):
@@ -75,6 +77,34 @@ class TestProcessCluster:
                            for rm in rec.removed}
                 assert removed == {2}
                 assert cluster.agreement_holds()
+        run(scenario())
+
+    def test_round_timeout_crosses_the_control_channel_typed(self):
+        """A child that times out ships its RoundTimeout to the parent with
+        every field intact: same type, same detail as on a LocalCluster."""
+        async def scenario():
+            async with ProcessCluster(
+                    gs_digraph(6, 3),
+                    enable_failure_detector=False) as cluster:
+                await cluster.run_rounds(1, timeout=20.0)
+                frozen = cluster._procs[4].pid
+                os.kill(frozen, signal.SIGSTOP)     # silent, not failed
+                try:
+                    with pytest.raises(TimeoutError) as caught:
+                        await cluster.run_rounds(1, timeout=1.0)
+                finally:
+                    os.kill(frozen, signal.SIGCONT)
+                exc = caught.value
+                assert isinstance(exc, RoundTimeout)
+                assert exc.node_id != 4 and exc.round == 1
+                assert exc.missing == (4,)
+                assert f"p{exc.node_id} round 1: waiting on origin 4" \
+                    in str(exc)
+                # parent-side waits raise the same type (without the
+                # child's round state)
+                with pytest.raises(RoundTimeout) as caught:
+                    await cluster.nodes[0].wait_for_round(7, timeout=0.1)
+                assert caught.value.missing is None
         run(scenario())
 
     def test_bulk_submission_and_sequencer(self):

@@ -207,21 +207,21 @@ class TestBinaryDecoderHardening:
             BinaryCodec().decoder().feed((0).to_bytes(4, "big"))
 
     def test_undecodable_envelope(self):
-        body = bytes([WIRE_VERSION]) + b"\xff\xfe\xfd garbage"
+        body = bytes([WIRE_VERSION, 2]) + b"\xff\xfe\xfd garbage"
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(ValueError, match="binary envelope"):
             BinaryCodec().decoder().feed(frame)
 
     def test_unknown_envelope_kind(self):
         import marshal
-        body = bytes([WIRE_VERSION]) + marshal.dumps((99, 1, 2))
+        body = bytes([WIRE_VERSION, 99]) + marshal.dumps((1, 2))
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(ValueError, match="unknown envelope kind"):
             BinaryCodec().decoder().feed(frame)
 
     def test_malformed_control_frame(self):
         import marshal
-        body = bytes([WIRE_VERSION]) + marshal.dumps((4, "not-a-dict"))
+        body = bytes([WIRE_VERSION, 4]) + marshal.dumps(("not-a-dict",))
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(ValueError, match="control frame"):
             BinaryCodec().decoder().feed(frame)
