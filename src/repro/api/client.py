@@ -60,8 +60,7 @@ outstanding count, buffered bytes, high-water delivered round) plus a
 **dirty set** of slots with buffered work per shard — so the per-round
 flush, the failover scan, and admission control cost O(dirty sessions) and
 O(1) respectively, independent of the total session count C.  A million
-idle sessions cost nothing per round; see ``repro.bench.ingress`` for the
-C-sweep evidence (``BENCH_ingress.json``).
+idle sessions cost nothing per round (they never enter the dirty set).
 """
 
 from __future__ import annotations
@@ -536,10 +535,6 @@ class Client:
         #: escalated to an agreed read by the read-your-writes gate
         self.local_reads_served = 0
         self.local_reads_escalated = 0
-        #: cumulative wall-clock cost of the per-round flush path (the
-        #: quantity BENCH_ingress.json tracks against the dirty count)
-        self.flush_time_s = 0.0
-        self.flush_calls = 0
         # One flush + one resolver subscription per group: the round-start
         # hook packs that group's buffered entries (the §5 boundary), the
         # delivery stream resolves handles from the unpacked batches.
@@ -783,13 +778,10 @@ class Client:
         actually have buffered entries — in slot order (= session creation
         order, which fixes the agreed packing order), so a round's flush
         costs O(dirty), not O(C)."""
-        t0 = perf_counter()
         self._check_failover()
         dirty = self._dirty.get(shard)
         if dirty:
             self._pack_dirty(shard, dirty, sorted(dirty))
-        self.flush_time_s += perf_counter() - t0
-        self.flush_calls += 1
 
     def _flush_full_scan(self, shard: Optional[int]) -> None:
         """Differential oracle for the dirty-set flush: identical packing
@@ -797,14 +789,11 @@ class Client:
         the produced envelopes — and with them the agreed log — must be
         byte-identical; the hypothesis differential test drives one client
         through each path and compares."""
-        t0 = perf_counter()
         self._check_failover()
         dirty = self._dirty.get(shard)
         if dirty is None:
             dirty = self._dirty[shard] = set()
         self._pack_dirty(shard, dirty, range(len(self._sessions)))
-        self.flush_time_s += perf_counter() - t0
-        self.flush_calls += 1
 
     def _pack_dirty(self, shard: Optional[int], dirty: set[int],
                     slots: Iterable[int]) -> None:

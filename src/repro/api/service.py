@@ -37,8 +37,7 @@ service runs on any registered backend:
   (the backend's ``shared-engine`` capability): cross-shard timing is
   coherent on a single virtual clock, rounds of all shards are in flight
   simultaneously (``fill_round`` everywhere before any ``complete_round``),
-  and a shard-count sweep is deterministic — see
-  :mod:`repro.bench.shards`;
+  so G groups finish k rounds at the virtual time one group does;
 * on **tcp**, groups run as disjoint kernel-assigned port spaces, each
   deployment driving its own event loop behind the same blocking facade;
 * third-party backends registered via :func:`repro.api.register_backend`

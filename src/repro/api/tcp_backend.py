@@ -23,6 +23,7 @@ from ..graphs.digraph import Digraph
 from ..runtime.cluster import LocalCluster
 from ..runtime.node import DeliveredRound
 from ..runtime.proc import ProcessCluster
+from ..runtime.wire import WireCodec
 from .deployment import (
     Deployment,
     DeliveryEvent,
@@ -60,7 +61,7 @@ class TcpDeployment(Deployment):
                  enable_failure_detector: bool = False,
                  namespace: str = "",
                  runtime: str = "inproc",
-                 codec: str = "binary",
+                 codec: Union[str, WireCodec] = "binary",
                  mp_context: Optional[str] = None) -> None:
         super().__init__()
         self.cluster: Union[LocalCluster, ProcessCluster]
@@ -72,6 +73,9 @@ class TcpDeployment(Deployment):
                 enable_failure_detector=enable_failure_detector,
                 namespace=namespace, codec=codec)
         elif runtime == "process":
+            if not isinstance(codec, str):
+                raise TypeError("runtime='process' takes a codec name: the "
+                                "choice crosses a process boundary")
             self.cluster = ProcessCluster(
                 graph, host=host, config=config,
                 heartbeat_period=heartbeat_period,

@@ -1,5 +1,7 @@
 """Benchmark harness regenerating every table and figure of the paper's
-evaluation (§5) plus the headline claims of §1.1.
+evaluation (§5) plus the headline claims of §1.1 — on the simulator, so
+every rate here is a *model prediction* in virtual time.  The live TCP
+runtime is measured by ``bench_e2e/`` (``python bench_e2e/run.py``).
 
 Each module can be run directly (``python -m repro.bench.fig10``) to print
 the series/rows of the corresponding figure/table; the ``benchmarks/``
@@ -7,10 +9,6 @@ directory wraps the same entry points in pytest-benchmark tests with
 reduced parameters.
 """
 
-# NOTE: repro.bench.perf and repro.bench.shards are intentionally not
-# imported eagerly — they are run as scripts (``python -m repro.bench.perf``
-# / ``... .shards``), and importing them here first would trigger the runpy
-# double-import warning.
 from . import fig5, fig6, fig7, fig8, fig9, fig10, headline, table3
 from .harness import (
     PAPER_TABLE3_SIZES,

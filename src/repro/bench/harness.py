@@ -15,8 +15,9 @@ The harness provides:
   simulation in Python is impractical (documented substitution, DESIGN.md);
 * :func:`pipeline_sweep` — throughput as a function of the round pipeline
   depth (``AllConcurConfig.pipeline_depth``), persisted to
-  ``BENCH_pipeline.json`` so successive PRs have a performance trajectory
-  to regress against.
+  ``BENCH_pipeline.json`` — a *model prediction* in simulator virtual
+  time (deterministic, so the file regenerates byte-identically); the
+  live runtime is measured by ``bench_e2e/``.
 
 All results are returned as plain dictionaries so the figure modules can
 both print them (``repro.bench.reporting``) and feed them to
@@ -150,9 +151,7 @@ def run_allconcur(n: int, *, params: LogPParams = TCP_PARAMS,
                   workload=None, duration: Optional[float] = None,
                   graph: Optional[Digraph] = None,
                   pipeline_depth: int = 1,
-                  max_batch: Optional[int] = None,
-                  data_plane: str = "bitmask",
-                  coalesce: bool = True) -> RunResult:
+                  max_batch: Optional[int] = None) -> RunResult:
     """Run *rounds* rounds of AllConcur over the Table-3 overlay for ``n``.
 
     ``batch_requests``/``request_nbytes`` produce a fixed batch per server
@@ -162,16 +161,12 @@ def run_allconcur(n: int, *, params: LogPParams = TCP_PARAMS,
     is the number of concurrent rounds each server keeps in flight
     (``AllConcurConfig.pipeline_depth``; 1 = the sequential protocol) and
     ``max_batch`` optionally bounds the per-round batch size (the paper's §5
-    suggestion for keeping a loaded system stable).  ``data_plane`` and
-    ``coalesce`` select the hot-path implementation (bitmask plane and
-    per-edge event coalescing by default; the legacy combination is the
-    baseline of :mod:`repro.bench.perf`).
+    suggestion for keeping a loaded system stable).
     """
     g = graph if graph is not None else overlay_for(n, degree=degree)
     deployment = SimDeployment(
-        g, config=AllConcurConfig(graph=g, pipeline_depth=pipeline_depth,
-                                  data_plane=data_plane),
-        options=ClusterOptions(params=params, seed=seed, coalesce=coalesce))
+        g, config=AllConcurConfig(graph=g, pipeline_depth=pipeline_depth),
+        options=ClusterOptions(params=params, seed=seed))
     cluster = deployment.cluster
     if workload is not None:
         horizon = duration if duration is not None else 1.0
@@ -347,7 +342,9 @@ def pipeline_sweep(n: int = 16, *,
     payload = {
         "description": "AllConcur round-pipelining trajectory: agreed "
                        "request rate vs pipeline_depth (packet-level "
-                       "simulation, deterministic)",
+                       "simulation, deterministic); model prediction "
+                       "(simulator virtual time), not a measurement of "
+                       "the live runtime",
         "n": n,
         "depths": list(depths),
         "rows": rows,

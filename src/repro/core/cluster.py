@@ -51,9 +51,6 @@ class ClusterOptions:
 
     params: LogPParams = TCP_PARAMS
     seed: int = 1
-    #: per-edge same-instant event coalescing in the network model (only
-    #: active on deterministic wires; see :class:`repro.sim.network.Network`)
-    coalesce: bool = True
     #: failure detector: "perfect" or "heartbeat"
     detector: str = "perfect"
     detection_delay: float = 20e-6
@@ -92,8 +89,7 @@ class SimCluster:
         self.owns_engine = sim is None
         self.sim = sim if sim is not None \
             else Simulator(seed=self.options.seed)
-        self.network = Network(self.sim, self.options.params,
-                               coalesce=self.options.coalesce)
+        self.network = Network(self.sim, self.options.params)
         self.injector = FailureInjector(self.sim)
         self.trace = RoundTrace()
         #: traces of earlier membership epochs (filled by :meth:`reconfigure`)

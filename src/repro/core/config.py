@@ -62,15 +62,14 @@ class AllConcurConfig:
         :class:`~repro.core.membership.MembershipIndex`) or ``"set"`` (the
         legacy per-round set/dict plane, kept as the differential-testing
         oracle).  The two planes are behaviourally identical; ``"set"``
-        exists for equivalence testing and as the pre-optimisation baseline
-        of ``bench/perf.py``.
+        exists only for the equivalence tests
+        (``tests/core/test_data_plane_equivalence.py``).
     max_batch:
         Upper bound on requests drained into one round's message (§5: a
         practical deployment "would bound the message size and reduce the
         inflow of requests").  ``None`` (default) drains everything
-        pending; a bound lets a deep backlog spread over multiple rounds —
-        the wire benchmark pre-loads every origin's queue and uses this to
-        keep per-round message sizes fixed.
+        pending; a bound lets a deep backlog spread over multiple rounds
+        of fixed message size.
     members:
         Initial membership; defaults to all vertices of ``graph``.
     """

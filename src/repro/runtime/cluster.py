@@ -34,12 +34,13 @@ are better served by the transport-agnostic facade in :mod:`repro.api`
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from ..core.batching import Batch, Request
 from ..core.config import AllConcurConfig
 from ..graphs.digraph import Digraph
-from .node import DeliveredRound, NodeAddress, RuntimeNode
+from .node import DeliveredRound, NodeAddress, RuntimeNode, deliveries_agree
+from .wire import WireCodec
 
 __all__ = ["LocalCluster"]
 
@@ -54,7 +55,7 @@ class LocalCluster:
                  heartbeat_timeout: float = 0.5,
                  enable_failure_detector: bool = True,
                  namespace: str = "",
-                 codec: str = "binary") -> None:
+                 codec: Union[str, WireCodec] = "binary") -> None:
         self.graph = graph
         #: label of this group in multi-group (sharded) deployments — node
         #: ids are only unique per cluster, so diagnostics qualify them
@@ -214,17 +215,5 @@ class LocalCluster:
     def agreement_holds(self) -> bool:
         """Every live node delivered identical message sequences for the
         rounds it completed (the runtime counterpart of Lemma 3.5)."""
-        nodes = self._live_nodes()
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                common = min(a.delivered_rounds, b.delivered_rounds)
-                for r in range(common):
-                    da, db = a.delivered[r], b.delivered[r]
-                    if da.round != db.round:
-                        return False
-                    if [(o, batch.count, tuple(req.data for req in batch.requests))
-                            for o, batch in da.messages] != \
-                       [(o, batch.count, tuple(req.data for req in batch.requests))
-                            for o, batch in db.messages]:
-                        return False
-        return True
+        return deliveries_agree(
+            [node.delivered for node in self._live_nodes()])

@@ -73,6 +73,20 @@ class DeliveredRound:
     wall_time: float
 
 
+def deliveries_agree(logs: Sequence[Sequence[DeliveredRound]]) -> bool:
+    """Every two nodes' ``delivered`` lists carry identical rounds — round
+    number, origins, batch sizes and request payloads — over the rounds
+    both completed (the runtime counterpart of Lemma 3.5)."""
+    def image(rec: DeliveredRound) -> object:
+        return rec.round, [
+            (origin, batch.count, tuple(req.data for req in batch.requests))
+            for origin, batch in rec.messages]
+
+    return all(image(ra) == image(rb)
+               for i, a in enumerate(logs) for b in logs[i + 1:]
+               for ra, rb in zip(a, b))
+
+
 class RoundTimeout(TimeoutError):
     """A server did not A-deliver a round in time; says what the round was
     waiting for at that server.

@@ -34,11 +34,6 @@ Architecture
   extra RPCs.  TCP's per-connection FIFO guarantees a child's deliveries
   are archived before its ``run_rounds`` reply is processed.
 
-With ``report="digest"`` children push batch digests instead of full
-payloads — the throughput benchmark uses this so that the parent (an
-observer, not a server) does not become the bottleneck; agreement is then
-checked digest-for-digest.  The facade always uses ``report="full"``.
-
 The default start method is ``fork`` where available (child start cost is
 milliseconds and the test-suite spawns many clusters); ``spawn`` is
 selectable via ``mp_context`` and is the automatic fallback elsewhere.
@@ -49,16 +44,14 @@ Children never touch the inherited event loop — each calls
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import marshal
 import multiprocessing
 import os
 import time
 import traceback
 from multiprocessing.process import BaseProcess
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
-from ..core.batching import Batch, Request
+from ..core.batching import Request
 from ..core.config import AllConcurConfig
 from ..graphs.digraph import Digraph
 from .framing import (
@@ -69,18 +62,15 @@ from .framing import (
     request_from_json,
     request_to_json,
 )
-from .node import DeliveredRound, NodeAddress, RoundTimeout, RuntimeNode
+from .node import (
+    DeliveredRound,
+    NodeAddress,
+    RoundTimeout,
+    RuntimeNode,
+    deliveries_agree,
+)
 
 __all__ = ["ProcessCluster"]
-
-
-def _batch_digest(batch: Batch) -> str:
-    """Deterministic 64-bit digest of a batch (stable across processes —
-    no dependence on PYTHONHASHSEED)."""
-    rows = tuple((r.origin, r.seq, r.nbytes, r.submit_time, r.data, r.client)
-                 for r in batch.requests)
-    blob = marshal.dumps((batch.count, batch.nbytes, rows))
-    return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 
 # --------------------------------------------------------------------- #
@@ -89,14 +79,14 @@ def _batch_digest(batch: Batch) -> str:
 
 def _child_main(server_id: int, config: AllConcurConfig, host: str,
                 control_port: int, codec: str, heartbeat_period: float,
-                heartbeat_timeout: float, enable_failure_detector: bool,
-                report: str) -> None:
+                heartbeat_timeout: float,
+                enable_failure_detector: bool) -> None:
     """Entry point of one server process (must be module-level so the
     ``spawn`` start method can import it)."""
     try:
         asyncio.run(_child(server_id, config, host, control_port, codec,
                            heartbeat_period, heartbeat_timeout,
-                           enable_failure_detector, report))
+                           enable_failure_detector))
     except Exception:   # pragma: no cover - surfaced via parent timeout
         traceback.print_exc()
         os._exit(1)
@@ -104,8 +94,8 @@ def _child_main(server_id: int, config: AllConcurConfig, host: str,
 
 async def _child(server_id: int, config: AllConcurConfig, host: str,
                  control_port: int, codec: str, heartbeat_period: float,
-                 heartbeat_timeout: float, enable_failure_detector: bool,
-                 report: str) -> None:
+                 heartbeat_timeout: float,
+                 enable_failure_detector: bool) -> None:
     addresses = {server_id: NodeAddress(server_id, host, 0)}
     node = RuntimeNode(server_id, config, addresses,
                        heartbeat_period=heartbeat_period,
@@ -144,15 +134,9 @@ async def _child(server_id: int, config: AllConcurConfig, host: str,
         outbox.put_nowait(encode_frame(obj))
 
     def on_deliver(rec: DeliveredRound) -> None:
-        frame = {"type": "deliver", "id": server_id, "round": rec.round,
-                 "removed": list(rec.removed), "wall": rec.wall_time}
-        if report == "digest":
-            frame["digest"] = [[o, b.count, b.nbytes, _batch_digest(b)]
-                               for o, b in rec.messages]
-        else:
-            frame["messages"] = [[o, batch_to_json(b)]
-                                 for o, b in rec.messages]
-        send(frame)
+        send({"type": "deliver", "id": server_id, "round": rec.round,
+              "removed": list(rec.removed), "wall": rec.wall_time,
+              "messages": [[o, batch_to_json(b)] for o, b in rec.messages]})
 
     node.on_deliver(on_deliver)
     send({"type": "hello", "id": server_id, "port": node.address.port})
@@ -197,10 +181,6 @@ async def _child(server_id: int, config: AllConcurConfig, host: str,
                     send({"type": "reply", "req": req})
                 elif kind == "submit":
                     await node.submit(request_from_json(obj["request"]))
-                    send({"type": "reply", "req": req})
-                elif kind == "submit_many":
-                    for row in obj["requests"]:
-                        await node.submit(request_from_json(row))
                     send({"type": "reply", "req": req})
                 elif kind == "run":
                     task = asyncio.create_task(
@@ -253,10 +233,6 @@ class _ProcessNode:
         self.id = pid
         self._cluster = cluster
         self.delivered: list[DeliveredRound] = []
-        #: per-round ``(round, ((origin, count, nbytes, digest), ...))``
-        #: rows (``report="digest"`` mode only)
-        self.digests: list[tuple[int, tuple[tuple[int, int, int, str],
-                                            ...]]] = []
         self.deliver_callbacks: list[Callable[[DeliveredRound], None]] = []
         self.broadcast_rounds = 0
         #: set whenever a deliver frame for this node is archived — wakes
@@ -277,16 +253,18 @@ class _ProcessNode:
     async def wait_for_round(self, round_no: int, *,
                              timeout: float = 30.0) -> DeliveredRound:
         deadline = time.monotonic() + timeout
-        while len(self.delivered) <= round_no:
-            if time.monotonic() > deadline:
+        while True:
+            self.progress.clear()
+            if len(self.delivered) > round_no:
+                return self.delivered[round_no]
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 # the round's known set lives in the child: no detail here
                 raise RoundTimeout(self.id, round_no, waited=timeout)
-            self.progress.clear()
             try:
-                await asyncio.wait_for(self.progress.wait(), 0.05)
+                await asyncio.wait_for(self.progress.wait(), remaining)
             except asyncio.TimeoutError:
-                pass
-        return self.delivered[round_no]
+                pass    # re-check once: a delivery may have raced the timer
 
 
 class ProcessCluster:
@@ -306,14 +284,10 @@ class ProcessCluster:
                  namespace: str = "",
                  codec: str = "binary",
                  mp_context: Optional[str] = None,
-                 report: str = "full",
                  start_timeout: float = 120.0) -> None:
-        if report not in ("full", "digest"):
-            raise ValueError(f"unknown report mode {report!r}")
         self.graph = graph
         self.namespace = namespace
         self.codec = codec
-        self.report = report
         self.config = config or AllConcurConfig(graph=graph,
                                                 auto_advance=False)
         self.host = host
@@ -371,7 +345,7 @@ class ProcessCluster:
                 target=_child_main,
                 args=(pid, self.config, self.host, control_port, self.codec,
                       self.heartbeat_period, self.heartbeat_timeout,
-                      self.enable_failure_detector, self.report),
+                      self.enable_failure_detector),
                 daemon=True,
                 name=f"allconcur-{self.namespace or 'node'}-{pid}")
             proc.start()
@@ -469,14 +443,8 @@ class ProcessCluster:
 
     def _archive_delivery(self, obj: dict[str, Any]) -> None:
         node = self.nodes[obj["id"]]
-        if "digest" in obj:
-            node.digests.append(
-                (obj["round"],
-                 tuple((d[0], d[1], d[2], d[3]) for d in obj["digest"])))
-            messages: tuple[tuple[int, Batch], ...] = ()
-        else:
-            messages = tuple((origin, batch_from_json(batch))
-                             for origin, batch in obj["messages"])
+        messages = tuple((origin, batch_from_json(batch))
+                         for origin, batch in obj["messages"])
         record = DeliveredRound(round=obj["round"], messages=messages,
                                 removed=tuple(obj["removed"]),
                                 wall_time=obj["wall"])
@@ -553,20 +521,6 @@ class ProcessCluster:
         await self._rpc(request.origin,
                         {"type": "submit",
                          "request": request_to_json(request)})
-
-    async def submit_requests(self, origin: int,
-                              requests: Iterable[Request]) -> None:
-        """Bulk submit at one origin — one control frame for the whole
-        sequence (the benchmark pre-loads thousands of requests; one RPC
-        per request would dominate the measurement)."""
-        rows: list[dict[str, Any]] = []
-        for request in requests:
-            self._seq[request.origin] = max(self._seq[request.origin],
-                                            request.seq + 1)
-            rows.append(request_to_json(request))
-        if rows:
-            await self._rpc(origin, {"type": "submit_many",
-                                     "requests": rows})
 
     # ------------------------------------------------------------------ #
     # Failure operations
@@ -650,26 +604,6 @@ class ProcessCluster:
     # ------------------------------------------------------------------ #
     def agreement_holds(self) -> bool:
         """Every live node delivered identical message sequences for the
-        rounds it completed (digest-for-digest in ``report="digest"``
-        mode)."""
-        nodes = self._live_nodes()
-        digest_mode = self.report == "digest"
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                common = min(a.delivered_rounds, b.delivered_rounds)
-                for r in range(common):
-                    da, db = a.delivered[r], b.delivered[r]
-                    if da.round != db.round:
-                        return False
-                    if digest_mode:
-                        if a.digests[r] != b.digests[r]:
-                            return False
-                        continue
-                    if [(o, batch.count,
-                         tuple(req.data for req in batch.requests))
-                            for o, batch in da.messages] != \
-                       [(o, batch.count,
-                         tuple(req.data for req in batch.requests))
-                            for o, batch in db.messages]:
-                        return False
-        return True
+        rounds it completed."""
+        return deliveries_agree(
+            [node.delivered for node in self._live_nodes()])

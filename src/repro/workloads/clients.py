@@ -23,7 +23,6 @@ being bounded for stability).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Optional, Union
 
 from ..api.client import Client, ClientRequestHandle, ClientSession
@@ -57,18 +56,12 @@ class ClosedLoopPopulation:
         on service targets (keys route there).
     prefix:
         Session-name prefix (lets several populations share one client).
-    record_latency:
-        Record per-request latency at resolution (via done callbacks):
-        wall-clock seconds into :attr:`latencies_s` and agreement rounds
-        into :attr:`latencies_rounds` — the p50/p99 source for
-        ``repro.bench.ingress``.  Off by default (one closure per request
-        is measurable at C = 10^5).
     """
 
     def __init__(self, client: Client, num_clients: int, *,
                  window: int = 1, num_keys: int = 64,
                  request_nbytes: int = 8, pin_origins: bool = True,
-                 prefix: str = "c", record_latency: bool = False) -> None:
+                 prefix: str = "c") -> None:
         if num_clients < 1:
             raise ValueError("num_clients must be positive")
         if window < 1:
@@ -95,10 +88,6 @@ class ClosedLoopPopulation:
         self.submitted = 0
         self.resolved = 0
         self.cancelled = 0
-        self._record = record_latency
-        #: per-request latency samples, appended at resolution
-        self.latencies_s: list[float] = []
-        self.latencies_rounds: list[int] = []
 
     # ------------------------------------------------------------------ #
     def _command(self, session: ClientSession, j: int) -> tuple[str, list]:
@@ -122,8 +111,6 @@ class ClosedLoopPopulation:
                 key, command = self._command(session, j)
                 handle = session.submit(command, key=key,
                                         nbytes=self.request_nbytes)
-                if self._record:
-                    handle.add_done_callback(self._latency_probe())
                 self._sent[session.client_id] = j + 1
                 pending.append(handle)
                 new += 1
@@ -160,19 +147,6 @@ class ClosedLoopPopulation:
                 else:
                     still.append(h)
             pending[:] = still
-
-    def _latency_probe(self):
-        """One done callback capturing the submit instant in wall clock
-        and in delivered rounds; fires inside the client's delivery
-        resolution."""
-        t0 = perf_counter()
-        r0 = self.client._delivered_rounds
-
-        def note(_handle: ClientRequestHandle) -> None:
-            self.latencies_s.append(perf_counter() - t0)
-            self.latencies_rounds.append(self.client._delivered_rounds - r0)
-
-        return note
 
     @property
     def outstanding(self) -> int:

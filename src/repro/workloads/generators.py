@@ -147,8 +147,7 @@ class KeyedWorkload:
     routes each key to its owning group, so the key distribution decides
     the load balance across shards.  Two standard distributions:
 
-    * ``"uniform"`` — every key equally likely (the balanced baseline of
-      the shard-scaling sweep, :mod:`repro.bench.shards`);
+    * ``"uniform"`` — every key equally likely (the balanced baseline);
     * ``"zipf"`` — key of rank r drawn with probability ∝ 1/r^s (the
       classic skewed-popularity model; hot keys concentrate load on the
       shards that own them).

@@ -109,6 +109,23 @@ class TestBatching:
         assert [e.key for e in envelopes[0][1]] == [
             ("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1), ("b", 2)]
 
+    def test_round_cost_is_per_message_not_per_request(self):
+        """The Fig 10 shape through the client surface: 16 requests per
+        origin ride the round's one message, so the round's virtual time
+        stays far below 16x (and below 2x) that of 1 request per origin."""
+        def round_time(per_origin):
+            dep = make()
+            client = Client(dep, default_nbytes=8)
+            sessions = [client.session(f"s{pid}", origin=pid)
+                        for pid in dep.members]
+            handles = [s.submit(i) for s in sessions
+                       for i in range(per_origin)]
+            dep.run_rounds(1)
+            assert all(h.done for h in handles)
+            return dep.sim.now
+
+        assert round_time(16) < 2 * round_time(1)
+
     def test_max_batch_requests_spills_to_next_round(self):
         dep = make()
         client = Client(dep, max_batch_requests=2)

@@ -209,6 +209,22 @@ class TestShardedServiceSim:
         per_shard = collections.Counter(d.shard for d in out)
         assert per_shard == {0: 2, 1: 2, 2: 2}
 
+    def test_groups_progress_in_parallel_on_one_clock(self):
+        """Groups share a clock but no resources: two groups agree on
+        twice the requests in the virtual time one group needs."""
+        finished = {}
+        for num_shards in (1, 2):
+            svc = make_service(num_shards=num_shards)
+            stream = KeyedWorkload(num_keys=256, seed=1)
+            for key, command in stream.requests(48 * num_shards):
+                svc.submit(key, command)
+            svc.run_rounds(4)
+            assert svc.check_agreement()
+            assert sum(d.request_count for d in svc.deliveries()) == \
+                48 * num_shards
+            finished[num_shards] = svc.engine.now
+        assert finished[2] == pytest.approx(finished[1], rel=0.1)
+
     def test_deliveries_merged_with_shard_tags(self):
         svc = make_service()
         svc.submit("user1", ("set", "user1", 1))

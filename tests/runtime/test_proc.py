@@ -2,8 +2,8 @@
 
 The scenarios mirror the LocalCluster suite where it matters (agreement,
 fail-stop, payload delivery) plus the process-specific surface: control
-RPCs, bulk submission, digest reporting, start-method selection, and the
-``TcpDeployment`` facade's ``runtime="process"`` knob.
+RPCs, the parent-side delivery archive and its waiters, start-method
+selection, and the ``TcpDeployment`` facade's ``runtime="process"`` knob.
 """
 
 import asyncio
@@ -16,7 +16,7 @@ import pytest
 from repro.api import create_deployment
 from repro.core import Request
 from repro.graphs import gs_digraph
-from repro.runtime import ProcessCluster, RoundTimeout
+from repro.runtime import ProcessCluster, RoundTimeout, get_codec
 
 
 def run(coro):
@@ -107,14 +107,40 @@ class TestProcessCluster:
                 assert caught.value.missing is None
         run(scenario())
 
-    def test_bulk_submission_and_sequencer(self):
+    def test_archived_delivery_releases_a_parked_waiter(self, monkeypatch):
+        """wait_for_round parks on the node's progress event against its one
+        deadline: a deliver frame archived mid-wait wakes it, and no wait is
+        a polling quantum."""
+        async def scenario():
+            # never started: only the parent-side archive is exercised
+            cluster = ProcessCluster(gs_digraph(6, 3))
+            timeouts = []
+            wait_for = asyncio.wait_for
+
+            async def recording_wait_for(awaitable, timeout):
+                timeouts.append(timeout)
+                return await wait_for(awaitable, timeout)
+
+            monkeypatch.setattr(asyncio, "wait_for", recording_wait_for)
+            waiter = asyncio.create_task(
+                cluster.nodes[0].wait_for_round(0, timeout=20.0))
+            await asyncio.sleep(0)
+            assert not waiter.done()
+            cluster._archive_delivery(
+                {"type": "deliver", "id": 0, "round": 0, "removed": [],
+                 "wall": 0.0, "messages": []})
+            assert (await waiter).round == 0
+            assert len(timeouts) == 1 and timeouts[0] > 1.0
+        run(scenario())
+
+    def test_prebuilt_requests_advance_the_sequencer(self):
         async def scenario():
             async with ProcessCluster(
                     gs_digraph(6, 3),
                     enable_failure_detector=False) as cluster:
-                reqs = [Request(origin=3, seq=i, nbytes=8, data=i)
-                        for i in range(10)]
-                await cluster.submit_requests(3, reqs)
+                for i in range(10):
+                    await cluster.submit_request(
+                        Request(origin=3, seq=i, nbytes=8, data=i))
                 assert cluster.next_seq(3) == 10
                 rounds = await cluster.run_rounds(1, timeout=20.0)
                 rec = rounds[0][0]
@@ -123,30 +149,6 @@ class TestProcessCluster:
                 assert origin == 3
                 assert [r.data for r in batch.requests] == list(range(10))
         run(scenario())
-
-    def test_digest_report_mode(self):
-        """Digest mode skips payload shipping but still proves agreement."""
-        async def scenario():
-            async with ProcessCluster(
-                    gs_digraph(6, 3), report="digest",
-                    enable_failure_detector=False) as cluster:
-                await cluster.submit(0, {"payload": "never leaves the "
-                                                    "children"})
-                rounds = await cluster.run_rounds(2, timeout=20.0)
-                rec = rounds[0][0]
-                assert rec.messages == ()          # not shipped
-                digests = cluster.nodes[0].digests
-                assert digests and digests[0][0] == rec.round
-                # every node produced the identical digest rows
-                assert cluster.agreement_holds()
-                rows = {pid: cluster.nodes[pid].digests[0]
-                        for pid in cluster.members}
-                assert len(set(rows.values())) == 1
-        run(scenario())
-
-    def test_rejects_unknown_report_mode(self):
-        with pytest.raises(ValueError, match="report mode"):
-            ProcessCluster(gs_digraph(6, 3), report="verbose")
 
     def test_spawn_start_method(self):
         """The spawn context works too (children re-import everything)."""
@@ -204,3 +206,8 @@ class TestProcessFacade:
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ValueError, match="unknown runtime"):
             create_deployment("tcp", gs_digraph(6, 3), runtime="threads")
+
+    def test_codec_instance_cannot_cross_the_process_boundary(self):
+        with pytest.raises(TypeError, match="codec name"):
+            create_deployment("tcp", gs_digraph(6, 3), runtime="process",
+                              codec=get_codec("binary"))
