@@ -26,8 +26,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Optional
 
-import numpy as np
-
 __all__ = ["Digraph"]
 
 
@@ -216,27 +214,18 @@ class Digraph:
         pred = tuple(sum(1 << u for u in p) for p in self._pred)
         return succ, pred
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix ``A[u, v] == True`` iff ``(u,v) ∈ E``."""
-        a = np.zeros((self._n, self._n), dtype=bool)
-        for u in range(self._n):
-            s = self._succ[u]
-            if s:
-                a[u, list(s)] = True
-        return a
-
     # ------------------------------------------------------------------ #
     # Traversal helpers
     # ------------------------------------------------------------------ #
     def bfs_distances(self, source: int,
-                      excluded: Optional[set[int]] = None) -> np.ndarray:
+                      excluded: Optional[set[int]] = None) -> list[int]:
         """Shortest-path hop distances from *source* to every vertex.
 
         Unreachable vertices (and excluded ones) get ``-1``.
         """
         self._check_vertex(source)
         excluded = excluded or set()
-        dist = np.full(self._n, -1, dtype=np.int64)
+        dist = [-1] * self._n
         if source in excluded:
             return dist
         dist[source] = 0

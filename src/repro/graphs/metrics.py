@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .digraph import Digraph
 
@@ -50,7 +48,7 @@ def eccentricity(g: Digraph, source: int,
         if dist[v] < 0:
             raise ValueError(
                 f"vertex {v} unreachable from {source}; digraph disconnected")
-        worst = max(worst, int(dist[v]))
+        worst = max(worst, dist[v])
     return worst
 
 
@@ -77,7 +75,7 @@ def average_shortest_path(g: Digraph) -> float:
                 continue
             if dist[u] < 0:
                 raise ValueError("digraph is not strongly connected")
-            total += int(dist[u])
+            total += dist[u]
             count += 1
     return total / count
 
@@ -90,7 +88,13 @@ def moore_bound_diameter(n: int, d: int) -> int:
         raise ValueError("degree must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
-    return int(np.ceil(np.log(n * (d - 1) + d) / np.log(d))) - 1
+    # smallest k with d**k >= n(d-1)+d, in exact integers: float logs
+    # round the wrong way when n(d-1)+d is an exact power of d
+    target, k, power = n * (d - 1) + d, 0, 1
+    while power < target:
+        power *= d
+        k += 1
+    return k - 1
 
 
 # --------------------------------------------------------------------------- #

@@ -9,11 +9,10 @@ the test suite can only probe, never prove:
   protocol core, the simulator, or the overlay-graph constructors may
   consult wall clocks, process-global RNGs, or allocation-dependent
   orderings.
-* **Async discipline** — the TCP runtime has shipped two hand-found
-  concurrency bugs of *recurring classes*: untracked
-  ``asyncio.create_task`` handlers leaking across ``stop()`` (fixed in
-  PR 3) and a dial-retry loop awaiting network I/O while holding the
-  node lock for ~41 s (fixed in PR 6).
+* **Async discipline** — each server runs on one event loop with no
+  lock or thread, so the recurring hazards are untracked
+  ``asyncio.create_task`` handlers leaking across ``stop()`` and
+  blocking calls that stall the loop under every peer.
 
 This package encodes those repo-specific invariants as AST rules (stdlib
 ``ast`` only, no new runtime dependencies) so the *class* of each bug is

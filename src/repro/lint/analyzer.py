@@ -9,7 +9,7 @@ A lint pass now has two stages over one shared parse:
    file each defect lives in.
 
 Suppressions are applied *after* both stages, per file, so a
-``# lint: ignore[L401] reason`` works on whole-program findings exactly
+``# lint: ignore[A301] reason`` works on whole-program findings exactly
 like lexical ones and S903 staleness accounts for both.  Policy scoping
 for program rules keys on the module of the file the *finding* lands
 in, mirroring the per-file behaviour.

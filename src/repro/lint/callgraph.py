@@ -1,11 +1,11 @@
 """Project-wide call graph over the linted file set.
 
-The lexical rules (D101…L301) see one function at a time, but the bug
-classes that actually shipped were *interprocedural*: PR 6's dial-retry
-held the node lock across a call chain that awaited two frames deeper,
-and hash-order set iteration leaks into agreed state through helper
-functions.  :class:`Program` gives the whole-program rules (D201, A301,
-L401, X501/X502) the structure those analyses need:
+The lexical rules (D101…F401) see one function at a time, but some bug
+classes are *interprocedural*: a blocking call two helpers below an
+``async def``, or hash-order set iteration leaking into agreed state
+through helper functions.  :class:`Program` gives the whole-program
+rules (D201, A301, X501/X502, S601, W601) the structure those analyses
+need:
 
 * every module parsed once (through the shared :class:`~repro.lint.
   astcache.ASTCache`) with an import map that also resolves *relative*
@@ -97,10 +97,8 @@ class FunctionInfo:
     class_qname: Optional[str] = None
     is_async: bool = False
     #: call sites lexically inside this function (nested defs excluded —
-    #: their calls run under *their* caller, exactly like L301's await scan)
+    #: their calls run under *their* caller)
     calls: list[CallSite] = field(default_factory=list)
-    #: ``await`` expressions lexically inside this function
-    awaits: list[ast.Await] = field(default_factory=list)
     #: local name -> class qname (ctor assignments + annotations), kept
     #: for rules that need instance types at sink sites (D201)
     local_classes: dict[str, str] = field(default_factory=dict)
@@ -315,8 +313,6 @@ class Program:
             local_classes = self._local_instances(fn, info)
             fn.local_classes = local_classes
             for node in _body_walk(fn.node):
-                if isinstance(node, ast.Await):
-                    fn.awaits.append(node)
                 if not isinstance(node, ast.Call):
                     continue
                 site = self._resolve_call(node, fn, info, local_classes)
@@ -532,7 +528,7 @@ def single_file_program(parsed: ParsedFile, module: str) -> Program:
 
 
 # --------------------------------------------------------------------- #
-# Instance-attribute write summaries (S601 snapshot coverage, R701 races)
+# Instance-attribute write summaries (S601 snapshot coverage)
 # --------------------------------------------------------------------- #
 
 #: method names whose call mutates the receiver in place — enough to

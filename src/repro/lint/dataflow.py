@@ -1,6 +1,6 @@
-"""Whole-program dataflow rules: D201, A301, L401.
+"""Whole-program dataflow rules: D201 and A301.
 
-All three rules walk the :class:`~repro.lint.callgraph.Program` built by
+Both rules walk the :class:`~repro.lint.callgraph.Program` built by
 the analyzer, which is what separates them from their lexical cousins:
 
 * **D201** is a conservative taint analysis.  *Sources* are the same
@@ -24,11 +24,6 @@ the analyzer, which is what separates them from their lexical cousins:
   the direct, in-function case; A301 reports at the call site that
   enters the chain, naming it.
 
-* **L401** finds a lock held at a call site whose *callee chain* awaits
-  slow I/O — the PR 6 ``_connect`` shape one (or more) function deeper,
-  which lexical L301 provably misses because the slow await is in a
-  different function body than the ``async with lock:``.
-
 Taint and reachability both under-approximate where the call graph
 does (unresolved calls get no edges), so every finding is actionable.
 """
@@ -45,8 +40,6 @@ from .names import dotted_name
 from .registry import ProgramContext, program_rule
 from .rules_asyncio import _BLOCKING, _BLOCKING_BUILTINS
 from .rules_determinism import _ENTROPY, _SEEDED_RNG, _WALL_CLOCK
-from .rules_locks import (_awaits_in_body, _is_lock_context,
-                          _slow_await_target)
 
 __all__ = ["FunctionSummary", "TaintEngine", "attrs_into_return"]
 
@@ -650,58 +643,6 @@ def check_transitive_blocking(pctx: ProgramContext) -> Iterable[Finding]:
                 "A301", fn.path, site.node,
                 f"async def {fn.name}() reaches blocking {label}() via "
                 f"{_fmt_chain(chain, program)}: the event loop stalls "
-                f"for the full call; use the asyncio equivalent or "
-                f"run_in_executor at the leaf")
+                f"for the full call; use the asyncio equivalent at the "
+                f"leaf")
 
-
-# --------------------------------------------------------------------- #
-# L401: interprocedural await-under-lock
-# --------------------------------------------------------------------- #
-
-def _has_direct_slow_await(fn: FunctionInfo) -> bool:
-    return any(_slow_await_target(a) is not None for a in fn.awaits)
-
-
-def _slow_or_blocking(fn: FunctionInfo) -> bool:
-    return _has_direct_slow_await(fn) or _direct_blocking(fn) is not None
-
-
-@program_rule(
-    "L401",
-    summary="lock held across a call whose callee chain awaits slow "
-            "I/O (the PR 6 _connect shape one function deeper — "
-            "lexical L301 cannot see past the call boundary)",
-    example="async with self._lock: await self._send(m)   "
-            "# _send() -> await writer.drain()")
-def check_interprocedural_lock(pctx: ProgramContext) -> Iterable[Finding]:
-    program = pctx.program
-    slow_reach = _reaches(program, _slow_or_blocking)
-    for fn in program.functions.values():
-        for node in _body_walk(fn.node):
-            if not isinstance(node, ast.AsyncWith):
-                continue
-            if not any(_is_lock_context(item) for item in node.items):
-                continue
-            for awaited in _awaits_in_body(node.body):
-                if _slow_await_target(awaited) is not None:
-                    continue        # lexical: L301's finding, not ours
-                value = awaited.value
-                if not isinstance(value, ast.Call):
-                    continue
-                site = program.site_for(value)
-                if site is None or site.callee is None \
-                        or site.callee not in slow_reach:
-                    continue
-                chain = program.find_chain(site.callee,
-                                           _slow_or_blocking)
-                if chain is None:   # pragma: no cover — reach implies it
-                    continue
-                yield pctx.finding(
-                    "L401", fn.path, awaited,
-                    f"lock held across await "
-                    f"{_fmt_chain([fn.qname] + chain, program)}, which "
-                    f"reaches slow I/O at the end of the chain: every "
-                    f"coroutine contending for the lock stalls for the "
-                    f"full I/O duration (the PR 6 ~41s dial-retry "
-                    f"class); restructure so the slow await happens "
-                    f"outside the critical section")

@@ -4,8 +4,8 @@ The *policy* is where repo-wide decisions live, so they are reviewable
 in one place instead of scattered across ``# lint: ignore`` comments:
 
 * which packages each rule family gates (determinism rules bind the
-  protocol core / simulator / graph constructors; asyncio and lock
-  rules bind the TCP runtime),
+  protocol core / simulator / graph constructors; asyncio rules bind
+  the TCP runtime),
 * which modules carry a deliberate, reviewed exemption — today only the
   frozen-dataclass fast path in :mod:`repro.runtime.wire` (F401), whose
   whole point is bypassing ``__init__`` validation on the decode hot
@@ -82,7 +82,6 @@ DEFAULT_POLICY = Policy(
         "D104": _DETERMINISTIC,
         "A201": ("repro",),
         "A202": ("repro.runtime",),
-        "L301": ("repro.runtime",),
         "F401": ("repro",),
         # Whole-program rules.  D201 additionally gates the runtime:
         # its sinks (envelope payloads, RoundContext stores) are agreed
@@ -91,17 +90,13 @@ DEFAULT_POLICY = Policy(
         # payloads to measure latency.
         "D201": _DETERMINISTIC + ("repro.runtime",),
         "A301": ("repro.runtime",),
-        "L401": ("repro.runtime",),
         "X501": ("repro",),
         "X502": ("repro",),
-        # Protocol-state verifiers (PR 10).  S601/L501 gate every repro
-        # package (state machines live in repro.api, locks anywhere);
-        # W601 is anchored to the wire planes; R701 to the two layers a
-        # blocking facade thread and the event loop actually share.
+        # Protocol-state verifiers.  S601 gates every repro package
+        # (state machines live in repro.api); W601 is anchored to the
+        # wire planes.
         "S601": ("repro",),
         "W601": ("repro.runtime",),
-        "L501": ("repro",),
-        "R701": ("repro.runtime", "repro.api"),
     },
     exemptions={
         "F401": ((

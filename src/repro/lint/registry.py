@@ -131,13 +131,10 @@ def _load_rules() -> None:
     from . import rules_asyncio      # noqa: F401
     from . import rules_determinism  # noqa: F401
     from . import rules_frozen      # noqa: F401
-    from . import rules_locks       # noqa: F401
-    from . import dataflow          # noqa: F401  (D201/A301/L401)
+    from . import dataflow          # noqa: F401  (D201/A301)
     from . import exhaustive        # noqa: F401  (X501/X502)
     from . import rules_state       # noqa: F401  (S601)
     from . import rules_wire_schema  # noqa: F401  (W601)
-    from . import rules_lock_order  # noqa: F401  (L501)
-    from . import rules_races       # noqa: F401  (R701)
     from . import suppress          # noqa: F401  (registers S901-S903)
 
 

@@ -95,5 +95,4 @@ def check_blocking_in_async(tree: ast.Module,
             yield ctx.finding(
                 "A202", node,
                 f"blocking call {label}() inside async def "
-                f"{fn.name}(): use the asyncio equivalent or push it "
-                f"through run_in_executor")
+                f"{fn.name}(): use the asyncio equivalent")

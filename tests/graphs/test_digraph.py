@@ -1,6 +1,5 @@
 """Unit tests for the core Digraph container."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import Digraph
@@ -138,12 +137,6 @@ class TestDerivedGraphs:
 
 
 class TestMatrixAndTraversal:
-    def test_adjacency_matrix(self, triangle):
-        mat = triangle.adjacency_matrix()
-        assert mat.shape == (3, 3)
-        assert mat[0, 1] and mat[1, 2] and mat[2, 0]
-        assert mat.sum() == 3
-
     def test_bfs_distances(self, triangle):
         dist = triangle.bfs_distances(0)
         assert list(dist) == [0, 1, 2]

@@ -75,6 +75,11 @@ class TestMooreBound:
         assert moore_bound_diameter(6, 3) == 2
         assert moore_bound_diameter(90, 5) == 3
         assert moore_bound_diameter(1024, 11) == 3
+        # n(d-1)+d an exact power of d: 5**3, 6**3, 7**5, 5**6
+        assert moore_bound_diameter(30, 5) == 2
+        assert moore_bound_diameter(42, 6) == 2
+        assert moore_bound_diameter(2800, 7) == 4
+        assert moore_bound_diameter(3905, 5) == 5
 
     def test_rejects_degree_below_two(self):
         with pytest.raises(ValueError):

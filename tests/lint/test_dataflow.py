@@ -1,9 +1,9 @@
-"""D201 / A301 / L401 fixtures: the whole-program dataflow rules.
+"""D201 / A301 fixtures: the whole-program dataflow rules.
 
 All snippets lint under ``repro.runtime`` module paths — D201 gates the
 runtime (where D101's lexical wall-clock ban does *not* apply, so each
-finding here is attributable to the taint engine alone), and A301/L401
-only gate the runtime.
+finding here is attributable to the taint engine alone), and A301 only
+gates the runtime.
 """
 
 from .conftest import rule_ids
@@ -197,76 +197,5 @@ class TestA301:
 
             def shutdown():
                 backoff()
-        """, module=RUNTIME)
-        assert findings == []
-
-
-class TestL401:
-    def test_slow_await_one_call_deep_under_lock(self, lint):
-        findings = lint("""
-            class Node:
-                async def flush(self):
-                    async with self._lock:
-                        await self._push(b"x")
-
-                async def _push(self, frame):
-                    writer = self._writer
-                    writer.write(frame)
-                    await writer.drain()
-        """, module=RUNTIME)
-        assert rule_ids(findings) == ["L401"]
-        assert "flush" in findings[0].message
-        assert "_push" in findings[0].message
-
-    def test_lexical_slow_await_stays_l301_only(self, lint):
-        findings = lint("""
-            import asyncio
-
-            class Node:
-                async def flush(self):
-                    async with self._lock:
-                        await asyncio.sleep(1)
-        """, module=RUNTIME)
-        assert rule_ids(findings) == ["L301"]
-
-    def test_fast_callee_under_lock_is_clean(self, lint):
-        findings = lint("""
-            class Node:
-                async def flush(self):
-                    async with self._lock:
-                        await self._bump()
-
-                async def _bump(self):
-                    self.counter += 1
-        """, module=RUNTIME)
-        assert findings == []
-
-    def test_blocking_call_in_callee_also_counts_as_slow(self, lint):
-        findings = lint("""
-            import time
-
-            class Node:
-                async def flush(self):
-                    async with self._lock:
-                        await self._settle()
-
-                async def _settle(self):
-                    time.sleep(0.1)
-        """, module=RUNTIME)
-        # one seeded defect, three complementary views: the lexical
-        # blocking call (A202), the transitive chain from flush (A301),
-        # and the lock held across it (L401)
-        assert set(rule_ids(findings)) == {"A202", "A301", "L401"}
-
-    def test_slow_chain_outside_lock_is_clean(self, lint):
-        findings = lint("""
-            class Node:
-                async def flush(self):
-                    async with self._lock:
-                        frame = self._frame
-                    await self._push(frame)
-
-                async def _push(self, frame):
-                    await self._writer.drain()
         """, module=RUNTIME)
         assert findings == []

@@ -1,6 +1,7 @@
 """The gate itself: ``python -m repro.lint src/`` is clean, every
 suppression in the tree is explained, and deliberately reintroducing
-the PR 3 / PR 6 incident patterns makes the analyzer fail."""
+the task-leak incident pattern or a whole-program defect makes the
+analyzer fail."""
 
 import pathlib
 import re
@@ -49,7 +50,7 @@ def _lint_runtime_snippet(source):
 
 
 class TestIncidentRegressions:
-    """Reintroducing either shipped-and-fixed bug class must fail the
+    """Reintroducing the shipped-and-fixed task-leak class must fail the
     gate (and hence the CI lint job)."""
 
     def test_pr3_task_leak_fails_the_gate(self):
@@ -64,26 +65,6 @@ class TestIncidentRegressions:
                     asyncio.create_task(self._timeout_loop())
         """)
         assert [f.rule_id for f in findings] == ["A201", "A201"]
-
-    def test_pr6_await_under_lock_fails_the_gate(self):
-        # PR 6: the dial-retry loop awaited open_connection + sleep
-        # backoff while holding the node lock (~41s stall)
-        findings = _lint_runtime_snippet("""
-            import asyncio
-
-            class Node:
-                async def _get_writer(self, peer, addr):
-                    async with self._lock:
-                        for attempt in range(40):
-                            try:
-                                _r, w = await asyncio.open_connection(
-                                    addr.host, addr.port)
-                                return w
-                            except OSError:
-                                await asyncio.sleep(0.05 * (attempt + 1))
-        """)
-        assert {f.rule_id for f in findings} == {"L301"}
-        assert len(findings) == 2
 
     def test_current_runtime_does_not_regress(self):
         # the real node.py/proc.py stay clean under the same rules
@@ -103,36 +84,8 @@ def _runtime_tree_copy(tmp_path):
 
 class TestWholeProgramRegressions:
     """The interprocedural bug classes the lexical rules provably miss:
-    seeding either into a copy of the real runtime tree must fail the
-    gate — with the whole-program rule, not its lexical cousin."""
-
-    def test_pr6_shape_one_call_deep_fails_the_gate(self, tmp_path):
-        # the PR 6 dial-retry loop, moved one function away from the
-        # lock: L301 cannot see across the call boundary, L401 must
-        tree = _runtime_tree_copy(tmp_path)
-        (tree / "scratch.py").write_text(textwrap.dedent("""
-            import asyncio
-
-
-            class Node:
-                async def _get_writer(self, peer, addr):
-                    async with self._lock:
-                        writer = await self._dial(addr)
-                        return writer
-
-                async def _dial(self, addr):
-                    for attempt in range(40):
-                        try:
-                            _r, w = await asyncio.open_connection(
-                                addr.host, addr.port)
-                            return w
-                        except OSError:
-                            await asyncio.sleep(0.05 * (attempt + 1))
-        """))
-        findings = lint_paths([str(tmp_path)])
-        assert {f.rule_id for f in findings} == {"L401"}
-        assert "L301" not in {f.rule_id for f in findings}
-        assert all(f.path.endswith("scratch.py") for f in findings)
+    seeding one into a copy of the real runtime tree must fail the gate
+    — with the whole-program rule, not its lexical cousin."""
 
     def test_new_wire_kind_without_dispatch_arm_fails_the_gate(
             self, tmp_path):
@@ -166,30 +119,6 @@ class TestWholeProgramRegressions:
         (finding,) = findings
         assert "ShardStateMachine._applied" in finding.message
         assert finding.path.endswith("scratch.py")
-
-    def test_lock_inversion_fails_the_gate_via_l501_alone(
-            self, tmp_path):
-        # opposite acquisition orders across two coroutines: no await
-        # of a slow primitive is involved, so L301/L401 stay silent and
-        # only the lock-order graph sees the deadlock
-        tree = _runtime_tree_copy(tmp_path)
-        (tree / "scratch.py").write_text(textwrap.dedent("""
-            class Router:
-                async def install(self):
-                    async with self._table_lock:
-                        async with self._flush_lock:
-                            self.epoch += 1
-
-                async def flush(self):
-                    async with self._flush_lock:
-                        async with self._table_lock:
-                            self.dirty = ()
-        """))
-        findings = lint_paths([str(tmp_path)])
-        assert {f.rule_id for f in findings} == {"L501"}
-        (finding,) = findings
-        assert "Router._table_lock" in finding.message
-        assert "Router._flush_lock" in finding.message
 
     def test_field_add_without_version_bump_fails_the_gate(
             self, tmp_path):

@@ -1,6 +1,5 @@
-"""A/L/F-rule fixtures: the PR 3 task-leak class, blocking calls in
-async code, the PR 6 await-under-lock class, and frozen-dataclass
-bypass outside the whitelisted codec path."""
+"""A/F-rule fixtures: the task-leak class, blocking calls in async
+code, and frozen-dataclass bypass outside the whitelisted codec path."""
 
 from .conftest import rule_ids
 
@@ -138,93 +137,6 @@ class TestA202BlockingInAsync:
             async def pump():
                 time.sleep(1)
         """, module="repro.bench.fixture")
-        assert findings == []
-
-
-# --------------------------------------------------------------------- #
-# L301 await under lock (PR 6 incident class)
-# --------------------------------------------------------------------- #
-
-class TestL301AwaitUnderLock:
-    def test_fires_on_dial_retry_under_lock(self, lint):
-        # the literal PR 6 shape: open_connection + sleep backoff while
-        # holding self._lock
-        findings = lint("""
-            import asyncio
-
-            class Node:
-                async def _connect(self, host, port):
-                    async with self._lock:
-                        for attempt in range(40):
-                            try:
-                                r, w = await asyncio.open_connection(host, port)
-                                return w
-                            except OSError:
-                                await asyncio.sleep(0.05 * (attempt + 1))
-        """, module="repro.runtime.fixture")
-        assert rule_ids(findings) == ["L301", "L301"]
-        assert "PR 6" in findings[0].message
-
-    def test_fires_on_drain_and_wait_for_under_lock(self, lint):
-        findings = lint("""
-            import asyncio
-
-            class Node:
-                async def send(self, writer, frame, event):
-                    async with self._lock:
-                        writer.write(frame)
-                        await writer.drain()
-                        await asyncio.wait_for(event.wait(), 1.0)
-        """, module="repro.runtime.fixture")
-        assert rule_ids(findings) == ["L301", "L301"]
-
-    def test_clean_when_io_is_outside_lock(self, lint):
-        findings = lint("""
-            import asyncio
-
-            class Node:
-                async def handle(self, msg):
-                    async with self._lock:
-                        effects = self.server.handle_message(msg)
-                    for effect in effects:
-                        await self._send(effect)
-        """, module="repro.runtime.fixture")
-        assert findings == []
-
-    def test_non_lock_context_manager_is_clean(self, lint):
-        findings = lint("""
-            import asyncio
-
-            class Node:
-                async def fetch(self, session, url):
-                    async with session.get(url) as resp:
-                        return await resp.read()
-        """, module="repro.runtime.fixture")
-        assert findings == []
-
-    def test_await_of_plain_helper_under_lock_is_clean(self, lint):
-        # lexical rule: only named network/sleep primitives are flagged
-        findings = lint("""
-            import asyncio
-
-            class Node:
-                async def handle(self, msg):
-                    async with self._lock:
-                        await self._execute(msg)
-        """, module="repro.runtime.fixture")
-        assert findings == []
-
-    def test_nested_function_awaits_not_attributed_to_lock(self, lint):
-        findings = lint("""
-            import asyncio
-
-            class Node:
-                async def plan(self):
-                    async with self._lock:
-                        async def later():
-                            await asyncio.sleep(1)
-                        self._later = later
-        """, module="repro.runtime.fixture")
         assert findings == []
 
 
